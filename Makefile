@@ -13,7 +13,7 @@ COVER_PKGS  ?= ./internal/approx ./internal/engine ./internal/rankagg \
 # Fixed benchtime so bench.json artifacts are comparable across commits.
 BENCHTIME ?= 20x
 
-.PHONY: all build test race bench bench-json bench-compare bench-compare-base bench-baseline lint fmt cover fuzz vulncheck cluster-smoke
+.PHONY: all build test race stress bench bench-json bench-compare bench-compare-base bench-baseline lint fmt cover fuzz vulncheck cluster-smoke
 
 all: build test
 
@@ -26,6 +26,12 @@ test:
 race:
 	$(GO) test -race ./...
 
+# Scheduling stress for the mutation paths: repeated runs at several
+# GOMAXPROCS values, so state a goroutine leaves on one P (a pooled arena
+# in a P-private sync.Pool slot) meets a mutation made on another.
+stress:
+	$(GO) test -count=20 -cpu 1,2,4 -run 'Mutate|Condition|Apply|Arena|Pool|Repair' ./internal/genfunc ./internal/engine
+
 # Benchmark smoke: one iteration of every benchmark, no tests (-run XXX),
 # proving the bench harness itself stays green without burning CI minutes.
 # -short skips the deliberately slow exact large-tree baseline; drop it
@@ -33,15 +39,15 @@ race:
 bench:
 	$(GO) test -short -run XXX -bench . -benchtime 1x ./...
 
-# Benchmark regression tracking: run the engine and genfunc-kernel
-# benchmarks (the convolution microbenchmarks ride along) with a fixed
-# -benchtime and emit both the raw benchstat-compatible text (bench.txt)
-# and a parsed bench.json; CI uploads both as artifacts on pushes to main
-# so the perf trajectory accumulates.
+# Benchmark regression tracking: run the engine, genfunc-kernel and
+# median top-k DP benchmarks (the convolution microbenchmarks ride along)
+# with a fixed -benchtime and emit both the raw benchstat-compatible text
+# (bench.txt) and a parsed bench.json; CI uploads both as artifacts on
+# pushes to main so the perf trajectory accumulates.
 # (No pipe here: a redirect keeps `go test`'s exit status visible to make,
 # so a panicking benchmark fails the target instead of shipping a partial
 # artifact.)
-BENCH_JSON_PKGS ?= ./internal/engine ./internal/genfunc
+BENCH_JSON_PKGS ?= ./internal/engine ./internal/genfunc ./internal/topk
 bench-json:
 	$(GO) test -short -run XXX -bench . -benchtime $(BENCHTIME) -count 1 $(BENCH_JSON_PKGS) > bench.txt
 	cat bench.txt
@@ -89,13 +95,16 @@ cover:
 
 # Fuzz smoke: short randomized runs of the HTTP request-decoding target
 # (which seeds both the legacy flat form and the v1 envelope), the
-# coordinator's cluster-admin endpoints, and the write-ahead-log replay
-# path (committed seeds cover torn tails and corrupted checksums), enough
-# to catch decode/validation/recovery panics without burning CI time.
+# coordinator's cluster-admin endpoints, the write-ahead-log replay
+# path (committed seeds cover torn tails and corrupted checksums), and the
+# median top-k DP against its legacy oracle, enough to catch
+# decode/validation/recovery panics and DP divergence without burning CI
+# time.
 fuzz:
 	$(GO) test ./internal/engine -run XXX -fuzz FuzzHandlerQuery -fuzztime 10s
 	$(GO) test ./internal/distrib -run XXX -fuzz FuzzClusterAdmin -fuzztime 10s
 	$(GO) test ./internal/distrib -run XXX -fuzz FuzzWALReplay -fuzztime 10s
+	$(GO) test ./internal/topk -run XXX -fuzz FuzzMedianDP -fuzztime 10s
 
 # Distributed-tier smoke: one durable coordinator over three loopback
 # workers cross-checked byte-for-byte against a single-process server on

@@ -87,7 +87,10 @@
 //	--------------------  ------------  ----------------------------------------
 //	topk-mean             top-k         poly (Theorems 3, 4, 7; Kendall served
 //	                                    by the footrule 2-approximation)
-//	topk-median           top-k         poly for symdiff (Theorem 6)
+//	topk-median           top-k         poly for symdiff (Theorem 6):
+//	                                    O(T·N·k²) time for T distinct scores
+//	                                    and N tree nodes, a fixed number of
+//	                                    O(N)-sized allocations per call
 //	mean-world            set           poly (Theorem 2)
 //	median-world          set           poly (Theorem 2)
 //	mean-world-jaccard    set           poly, tuple-independent (Section 4.2)

@@ -10,7 +10,7 @@ package andxor
 // against the tree's invariants BEFORE touching any node, mutates in
 // place, and returns a Delta describing exactly what changed.  The Delta
 // is what the compiled kernel (genfunc.Program.Apply) consumes to patch
-// its instruction weights and pooled arenas instead of recompiling:
+// its instruction weights instead of recompiling:
 //
 //   - weight-only deltas (probability updates, conditioning) list the
 //     changed leaf-adjacent or-edges with their new probabilities plus the

@@ -9,9 +9,9 @@ package engine
 //     Deltas (ApplyAll is all-or-nothing: a failing batch leaves the tree
 //     untouched);
 //   - genfunc.Program.Apply/ApplyAll consumes the Deltas, patching the
-//     compiled instruction weights and every pooled arena (weight-only
-//     deltas) or recompiling (structural deltas), and reports the dirty
-//     instruction set;
+//     compiled instruction weights (weight-only deltas; pooled arenas are
+//     re-evaluated on their next acquisition) or recompiling (structural
+//     deltas), and reports the dirty instruction set;
 //   - the engine bumps the entry's mutation epoch, which retargets every
 //     cache key, and decides per cached intermediate between repair and
 //     purge: weight-only deltas against a resident program carry the

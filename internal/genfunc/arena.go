@@ -58,6 +58,12 @@ type arena struct {
 	// before parents — the flush needs no sorting at all.
 	dirty    []uint64
 	anyDirty bool
+
+	// ver is the Program weight version (Program.weightVer) the arena's
+	// values were computed under.  A weight patch leaves pooled arenas
+	// alone; acquireArena re-evaluates one whose version is behind before
+	// reuse.
+	ver uint64
 }
 
 // dualX as a leaf x-degree assigns the polynomial 1+x instead of a
@@ -82,6 +88,9 @@ func newArena(p *Program, xcap, ycap int) *arena {
 		xdeg:  make([]int32, len(p.leaves)),
 		ydeg:  make([]int32, len(p.leaves)),
 		dirty: make([]uint64, (len(p.insts)+63)/64),
+
+		snapVals: make([]float64, len(p.insts)*sz),
+		snapLens: make([]int32, len(p.insts)*(ycap+1)),
 	}
 	if ar.dual {
 		// Dense scalar mode: every row is permanently length 1 and the
@@ -90,10 +99,24 @@ func newArena(p *Program, xcap, ycap int) *arena {
 			ar.lens[i] = 1
 		}
 	}
-	ar.evalFull()
-	ar.snapVals = append([]float64(nil), ar.vals...)
-	ar.snapLens = append([]int32(nil), ar.lens...)
+	ar.refresh()
 	return ar
+}
+
+// refresh re-evaluates the whole arena at the all-zero leaf assignment
+// under the Program's current weights, re-snapshots it and stamps it with
+// the current weight version, reusing every buffer.  The result is
+// bit-identical to a freshly built arena: each instruction's value is a
+// pure function of its children's values within their effective lengths,
+// and nothing beyond an effective length is ever read.
+func (ar *arena) refresh() {
+	clear(ar.xdeg)
+	clear(ar.ydeg)
+	ar.marked = 0
+	ar.evalFull()
+	copy(ar.snapVals, ar.vals)
+	copy(ar.snapLens, ar.lens)
+	ar.ver = ar.p.weightVer
 }
 
 // reset returns every leaf to the zero assignment.  A lightly marked
@@ -169,39 +192,6 @@ func (ar *arena) setGeneric(leaf int32, score float64, kid int32) {
 	} else {
 		ar.setLeaf(leaf, 0, 0)
 	}
-}
-
-// markInst marks one instruction and its root path dirty, stopping at the
-// first already-dirty ancestor (whose own marking flagged the rest).  It
-// is the instruction-level analogue of setLeaf's path marking, used by the
-// weight-patch path where the change originates at an internal sum
-// instruction rather than a leaf assignment.
-func (ar *arena) markInst(id int32) {
-	ar.anyDirty = true
-	for n := id; n >= 0; n = ar.insts[n].parent {
-		w, bit := n>>6, uint64(1)<<(n&63)
-		if ar.dirty[w]&bit != 0 {
-			break
-		}
-		ar.dirty[w] |= bit
-	}
-}
-
-// patchWeights re-evaluates the arena after instruction weights changed
-// (ar.insts aliases the Program's instruction array, so the new weights
-// are already visible).  The arena first returns to the all-zero
-// assignment, then recomputes the changed instructions and their
-// ancestors, and finally re-snapshots: the stored all-zero state must
-// reflect the new weights or a later heavy reset would resurrect stale
-// values.
-func (ar *arena) patchWeights(changed []int32) {
-	ar.reset()
-	for _, id := range changed {
-		ar.markInst(id)
-	}
-	ar.flush()
-	copy(ar.snapVals, ar.vals)
-	copy(ar.snapLens, ar.lens)
 }
 
 // flush re-evaluates the dirty instructions in postorder.  Ascending

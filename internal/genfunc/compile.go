@@ -108,6 +108,17 @@ type Program struct {
 	pools   map[[2]int]*sync.Pool
 	scratch sync.Pool
 
+	// weightVer counts the weight patches applied to insts (Apply and
+	// ApplyAll bump it once per call that changed an instruction).  Every
+	// arena records the version it was evaluated under, and acquireArena
+	// refreshes a pooled arena whose version is behind, so a patch never
+	// has to reach the arenas themselves: pooled arenas a sync.Pool keeps
+	// in other Ps' private slots are out of any one goroutine's reach, and
+	// arenas of caps no later query asks for are never re-evaluated.
+	// Apply's exclusive-access contract orders the bump before any later
+	// evaluation reads it.
+	weightVer uint64
+
 	// valMu/valDone cache ValidateScores' verdict: score validity is a
 	// property of the tree's leaves and weights alone, so repeated batched
 	// evaluations (every Ranks call) check it once.  Unlike a sync.Once
@@ -163,7 +174,9 @@ func compiled(t *andxor.Tree) *Program {
 }
 
 // acquireArena returns a pooled arena with the given caps, reset to the
-// all-zero leaf assignment, allocating only when the pool is empty.
+// all-zero leaf assignment under the current weights, allocating only
+// when the pool is empty.  A pooled arena evaluated under older weights
+// (see weightVer) is refreshed in full in its own memory.
 func (p *Program) acquireArena(xcap, ycap int) *arena {
 	key := [2]int{xcap, ycap}
 	p.poolMu.Lock()
@@ -178,7 +191,11 @@ func (p *Program) acquireArena(xcap, ycap int) *arena {
 	p.poolMu.Unlock()
 	if v := pool.Get(); v != nil {
 		ar := v.(*arena)
-		ar.reset()
+		if ar.ver != p.weightVer {
+			ar.refresh()
+		} else {
+			ar.reset()
+		}
 		return ar
 	}
 	return newArena(p, xcap, ycap)

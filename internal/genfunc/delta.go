@@ -2,9 +2,9 @@ package genfunc
 
 // This file is the compiled kernel's half of the mutation path.  A
 // Tree.Apply produces an andxor.Delta; Program.Apply consumes it, either
-// patching the instruction weights (and every pooled arena) in place —
-// weight-only deltas: probability updates and evidence conditioning — or
-// recompiling when the leaf set changed (insert/delete).
+// patching the instruction weights in place — weight-only deltas:
+// probability updates and evidence conditioning — or recompiling when the
+// leaf set changed (insert/delete).
 //
 // The weight patch is bit-identical to a cold recompile by construction:
 // the Delta carries the exact float64 values a cold Compile of the mutated
@@ -13,11 +13,12 @@ package genfunc
 // constant (leafGroup) landed in the instruction array.  Writing those
 // slots makes the instruction array bitwise identical to the cold one, and
 // since every instruction's arena value is a pure function of its
-// children, re-evaluating the changed instructions and their ancestors
-// lands every arena on the cold program's state too.
+// children, an arena re-evaluated under the patched weights lands on the
+// cold program's state too.  Pooled arenas are not touched here: the patch
+// bumps the Program's weight version, and acquireArena re-evaluates an
+// arena stamped with an older one before handing it out.
 
 import (
-	"sync"
 	"weak"
 
 	"consensus/internal/andxor"
@@ -51,7 +52,7 @@ func (p *Program) Apply(t *andxor.Tree, d *andxor.Delta) (*Program, bool, []int3
 	p.valErr = nil
 	p.valMu.Unlock()
 	if len(changed) > 0 {
-		p.patchArenas(changed)
+		p.weightVer++
 	}
 	return p, true, changed
 }
@@ -59,11 +60,12 @@ func (p *Program) Apply(t *andxor.Tree, d *andxor.Delta) (*Program, bool, []int3
 // ApplyAll brings p up to date with a batch of mutations already applied
 // to t (in order), amortizing the per-delta costs: the weight patches of
 // the whole batch accumulate into one dirty instruction set, the
-// score-validation verdict resets once and every pooled arena is repaired
-// once, instead of per update.  A structural delta anywhere in the batch
-// recompiles once, covering the whole batch (the tree already carries
-// every update).  The return contract matches Apply, with changed the
-// union of the batch's dirty instruction sets.
+// score-validation verdict resets once and the weight version (which
+// marks every pooled arena stale) moves once, instead of per update.  A
+// structural delta anywhere in the batch recompiles once, covering the
+// whole batch (the tree already carries every update).  The return
+// contract matches Apply, with changed the union of the batch's dirty
+// instruction sets.
 func (p *Program) ApplyAll(t *andxor.Tree, ds []*andxor.Delta) (*Program, bool, []int32) {
 	for _, d := range ds {
 		if d == nil || d.Structural {
@@ -93,7 +95,7 @@ func (p *Program) ApplyAll(t *andxor.Tree, ds []*andxor.Delta) (*Program, bool, 
 	p.valErr = nil
 	p.valMu.Unlock()
 	if len(changed) > 0 {
-		p.patchArenas(changed)
+		p.weightVer++
 	}
 	return p, true, changed
 }
@@ -183,33 +185,4 @@ func (p *Program) patchWeights(d *andxor.Delta) []int32 {
 		p.sizeMu.Unlock()
 	}
 	return changed
-}
-
-// patchArenas re-evaluates every pooled arena under the patched weights:
-// each arena is drained from its pool, reset to the all-zero assignment,
-// re-evaluated along the changed instructions' root paths, re-snapshotted,
-// and returned to the pool.  Instructions outside those paths have values
-// identical under old and new weights (pure functions of unchanged
-// inputs), so the patched arena is bit-identical to a freshly built one.
-func (p *Program) patchArenas(changed []int32) {
-	p.poolMu.Lock()
-	pools := make([]*sync.Pool, 0, len(p.pools))
-	for _, pool := range p.pools {
-		pools = append(pools, pool)
-	}
-	p.poolMu.Unlock()
-	for _, pool := range pools {
-		var ars []*arena
-		for {
-			v := pool.Get()
-			if v == nil {
-				break
-			}
-			ars = append(ars, v.(*arena))
-		}
-		for _, ar := range ars {
-			ar.patchWeights(changed)
-			pool.Put(ar)
-		}
-	}
 }

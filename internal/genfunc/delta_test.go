@@ -174,7 +174,7 @@ func TestApplyPatchesPooledArenas(t *testing.T) {
 	}
 	assertProgramsAgree(t, tr, p, "first patch with warm pools")
 
-	// Patch again on the already-patched pools: the re-snapshotted arenas
+	// Patch again on the already-patched pools: the refreshed arenas
 	// must keep tracking the instruction array through repeated mutations.
 	warm()
 	d, err = tr.Apply(andxor.Update{Kind: andxor.EvidenceAbsent, Key: alts[0].Key})

@@ -262,3 +262,92 @@ func TestExpectedRankSingleTuple(t *testing.T) {
 		t.Fatalf("single-tuple tree: %v", err)
 	}
 }
+
+// assertArenaMatchesFresh compares ar with a newly built arena of the same
+// shape on everything an evaluation can read: each instruction row's
+// effective length and the coefficients within it.
+func assertArenaMatchesFresh(t *testing.T, p *Program, ar *arena, label string) {
+	t.Helper()
+	fresh := newArena(p, ar.xcap, ar.ycap)
+	for id := range ar.insts {
+		for y := 0; y <= ar.ycap; y++ {
+			li := id*(ar.ycap+1) + y
+			if ar.lens[li] != fresh.lens[li] {
+				t.Fatalf("%s: instruction %d row %d length %d, fresh %d", label, id, y, ar.lens[li], fresh.lens[li])
+			}
+			base := id*ar.sz + y*ar.w
+			for i := 0; i < int(fresh.lens[li]); i++ {
+				if ar.vals[base+i] != fresh.vals[base+i] {
+					t.Fatalf("%s: instruction %d row %d coeff %d = %v, fresh %v",
+						label, id, y, i, ar.vals[base+i], fresh.vals[base+i])
+				}
+			}
+		}
+	}
+}
+
+// TestArenaMissedByPatchIsRefreshed pins the stale-arena check on both
+// places an arena can be during Apply: held outside the pool (as an arena
+// in another P's private sync.Pool slot is, for the patching goroutine)
+// and sitting in the pool across two patches.  Either way the next
+// acquisition must yield the fresh arena's state.
+func TestArenaMissedByPatchIsRefreshed(t *testing.T) {
+	// Three-alternative blocks: the binarized partial sum of a block's
+	// first two edges depends on the weights even at the all-zero
+	// assignment (a two-alternative block sums to 1 under any weights).
+	blocks := make([]andxor.Block, 4)
+	for b := range blocks {
+		key := fmt.Sprintf("t%d", b)
+		blocks[b] = andxor.Block{
+			Alternatives: []types.Leaf{{Key: key, Score: float64(30 - b)}, {Key: key, Score: float64(20 - b)}, {Key: key, Score: float64(10 - b)}},
+			Probs:        []float64{0.3, 0.3, 0.3},
+		}
+	}
+	tr, err := andxor.BID(blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := Compile(tr)
+	k := 4
+	if _, err := p.Ranks(k); err != nil { // warm the pool
+		t.Fatal(err)
+	}
+	alts := tr.LeafAlternatives()
+	setProb := func(i int, prob float64) {
+		t.Helper()
+		d, err := tr.Apply(andxor.Update{Kind: andxor.UpdateSetProb, Key: alts[i].Key, Score: alts[i].Score, Prob: prob, Renormalize: true})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if np, patched, _ := p.Apply(tr, d); np != p || !patched {
+			t.Fatal("weight update was not patched in place")
+		}
+	}
+
+	held := p.acquireArena(k-1, 1)
+	setProb(0, 0.15)
+	p.releaseArena(held)
+	ar := p.acquireArena(k-1, 1)
+	assertArenaMatchesFresh(t, p, ar, "held outside the pool during a patch")
+	p.releaseArena(ar)
+
+	setProb(3, 0.35)
+	setProb(6, 0.55)
+	assertArenaMatchesFresh(t, p, p.acquireArena(k-1, 1), "pooled across two patches")
+
+	want, err := Compile(tr).Ranks(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := p.Ranks(k)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range tr.Keys() {
+		for i := 1; i <= k; i++ {
+			if got.PrEq(key, i) != want.PrEq(key, i) {
+				t.Fatalf("PrEq(%q, %d) = %v after patches, cold compile %v", key, i, got.PrEq(key, i), want.PrEq(key, i))
+			}
+		}
+	}
+}

@@ -147,10 +147,3 @@ func TestMeanDominatesBaselinesUnderSymDiff(t *testing.T) {
 		}
 	}
 }
-
-func min(a, b int) int {
-	if a < b {
-		return a
-	}
-	return b
-}
