@@ -39,17 +39,20 @@ stress:
 bench:
 	$(GO) test -short -run XXX -bench . -benchtime 1x ./...
 
-# Benchmark regression tracking: run the engine, genfunc-kernel and
-# median top-k DP benchmarks (the convolution microbenchmarks ride along)
-# with a fixed -benchtime and emit both the raw benchstat-compatible text
-# (bench.txt) and a parsed bench.json; CI uploads both as artifacts on
-# pushes to main so the perf trajectory accumulates.
+# Benchmark regression tracking: run the engine, genfunc-kernel, median
+# top-k DP, co-clustering and median-world Jaccard benchmarks (the
+# convolution microbenchmarks ride along) with a fixed -benchtime and emit
+# both the raw benchstat-compatible text (bench.txt) and a parsed
+# bench.json; CI uploads both as artifacts on pushes to main so the perf
+# trajectory accumulates.  -cpu 1 keeps benchmark names free of the -N
+# GOMAXPROCS suffix, so they match BENCH_baseline.json on any runner.
 # (No pipe here: a redirect keeps `go test`'s exit status visible to make,
 # so a panicking benchmark fails the target instead of shipping a partial
 # artifact.)
-BENCH_JSON_PKGS ?= ./internal/engine ./internal/genfunc ./internal/topk
+BENCH_JSON_PKGS ?= ./internal/engine ./internal/genfunc ./internal/topk \
+                   ./internal/cluster ./internal/setconsensus
 bench-json:
-	$(GO) test -short -run XXX -bench . -benchtime $(BENCHTIME) -count 1 $(BENCH_JSON_PKGS) > bench.txt
+	$(GO) test -short -run XXX -bench . -benchtime $(BENCHTIME) -cpu 1 -count 1 $(BENCH_JSON_PKGS) > bench.txt
 	cat bench.txt
 	$(GO) run ./cmd/benchjson -in bench.txt -out bench.json
 

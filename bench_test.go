@@ -41,9 +41,10 @@ func BenchmarkF1aWorldSizeDistribution(b *testing.B) {
 func BenchmarkF1bRankGeneratingFunction(b *testing.B) {
 	tr := andxor.Figure1iii()
 	target := types.Leaf{Key: "t3", Score: 6}
+	p := genfunc.Compile(tr)
 	b.ReportAllocs()
 	for i := 0; i < b.N; i++ {
-		f := genfunc.Eval2(tr, func(_ int, l types.Leaf) (int, int) {
+		c := p.Coefficient(func(_ int, l types.Leaf) (int, int) {
 			if l == target {
 				return 0, 1
 			}
@@ -51,8 +52,8 @@ func BenchmarkF1bRankGeneratingFunction(b *testing.B) {
 				return 1, 0
 			}
 			return 0, 0
-		}, 2, 1)
-		if f.Coeff(0, 1) == 0 {
+		}, 0, 1)
+		if c == 0 {
 			b.Fatal("missing coefficient")
 		}
 	}

@@ -140,7 +140,7 @@ func MeanWorldJaccard(t *Tree) (*World, float64, error) { return setconsensus.Me
 // MedianWorldJaccard returns the median world under the Jaccard distance
 // for a BID database (Section 4.2), with its expected distance.
 func MedianWorldJaccard(t *Tree) (*World, float64, error) {
-	return setconsensus.MedianWorldJaccard(t)
+	return setconsensus.MedianWorldJaccard(t, genfunc.Compile(t))
 }
 
 // Metric selects the top-k distance for TopKMean.

@@ -103,6 +103,33 @@ func TestFacadeRankDistribution(t *testing.T) {
 	}
 }
 
+// TestFacadeAnswersFollowMutation pins that the package-level
+// evaluators answer for a tree's current state after an in-place Apply,
+// never from a program compiled before it.
+func TestFacadeAnswersFollowMutation(t *testing.T) {
+	db := quickDB(t)
+	if _, err := RankDistribution(db, 1); err != nil {
+		t.Fatal(err)
+	}
+	before := WorldSizeDistribution(db)
+	if _, err := db.Apply(Update{Kind: UpdateSetProb, Key: "a", Score: 9, Prob: 0.1}); err != nil {
+		t.Fatal(err)
+	}
+	rd, err := RankDistribution(db, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !numeric.AlmostEqual(rd.PrEq("a", 1), 0.1, 1e-12) {
+		t.Fatalf("Pr(r(a)=1) after set-prob = %g, want 0.1", rd.PrEq("a", 1))
+	}
+	// |pw| = 0 needs all three tuples absent: 0.9·0.4·0.6 after the
+	// update, 0.1·0.4·0.6 before it.
+	after := WorldSizeDistribution(db)
+	if !numeric.AlmostEqual(after[0], 0.216, 1e-12) || numeric.AlmostEqual(after[0], before[0], 1e-12) {
+		t.Fatalf("Pr(|pw|=0) = %g after set-prob (before: %g), want 0.216", after[0], before[0])
+	}
+}
+
 func TestFacadeJaccard(t *testing.T) {
 	db := quickDB(t)
 	w, e, err := MeanWorldJaccard(db)

@@ -94,12 +94,18 @@
 //	mean-world            set           poly (Theorem 2)
 //	median-world          set           poly (Theorem 2)
 //	mean-world-jaccard    set           poly, tuple-independent (Section 4.2)
-//	median-world-jaccard  set           poly, BID (Section 4.2)
+//	median-world-jaccard  set           poly, BID (Section 4.2): all
+//	                                    candidate prefixes in one Lemma 1
+//	                                    sweep on the compiled kernel, one
+//	                                    leaf-path update per prefix
 //	ranking-consensus     full ranking  footrule/borda poly per world set;
 //	                                    Kemeny NP-hard, exact DP <= 16 tuples;
 //	                                    world set enumerated or sampled
 //	clustering-mean       clustering    NP-hard (CONSENSUS-CLUSTERING);
-//	                                    exact <= 10 tuples, else CC-Pivot
+//	                                    exact <= 10 tuples, else CC-Pivot;
+//	                                    co-clustering matrix in one sweep
+//	                                    on the compiled kernel, a few
+//	                                    leaf-path updates per tuple pair
 //	aggregate-mean        aggregate     poly (linearity of expectation)
 //	aggregate-median      aggregate     exact search <= 12 tuples, else the
 //	                                    deterministic 4-approx (Corollary 2)
@@ -214,13 +220,14 @@
 // and compiled programs are pooled and recycled across requests (and
 // across the parallel rank shards), so warm engine queries evaluate with
 // zero arena allocations; re-registering a tree swaps in a fresh program
-// generation, taking its pools with it.  The remaining legacy recursive
-// statistics now compile too: expected rank costs one dual-number sweep
-// (O(n·depth·log fan-in), independent of k) instead of a full cutoff-n
-// rank distribution plus one untruncated recursive pass per key, and
-// score validation batches all tied-pair co-occurrence checks onto one
-// arena at two path updates per pair, reporting a deterministic offending
-// pair.
+// generation, taking its pools with it.  Every generating-function
+// statistic runs on the compiled kernel; the recursive evaluators survive
+// only as test oracles.  Expected rank costs one dual-number sweep (O(n·depth·log
+// fan-in), independent of k) instead of a full cutoff-n rank distribution
+// plus one untruncated recursive pass per key; score validation and the
+// co-clustering matrix batch their pairwise checks onto one arena at a
+// few path updates per pair; and the Jaccard median evaluates every
+// candidate prefix in one dual-number sweep.
 //
 // # Approximate answers with error budgets
 //

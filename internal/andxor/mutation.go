@@ -93,18 +93,25 @@ type Delta struct {
 // is untouched.  Apply is NOT safe for concurrent use with readers of the
 // same tree; the engine serializes mutations against queries per tree.
 func (t *Tree) Apply(u Update) (*Delta, error) {
+	var d *Delta
+	var err error
 	switch u.Kind {
 	case UpdateSetProb:
-		return t.applySetProb(u)
+		d, err = t.applySetProb(u)
 	case UpdateInsert:
-		return t.applyInsert(u)
+		d, err = t.applyInsert(u)
 	case UpdateDelete:
-		return t.applyDelete(u)
+		d, err = t.applyDelete(u)
 	case EvidencePresent, EvidenceAbsent, EvidenceChoose:
-		return t.applyCondition(u)
+		d, err = t.applyCondition(u)
 	default:
 		return nil, fmt.Errorf("andxor: unknown update kind %q", u.Kind)
 	}
+	if err != nil {
+		return nil, err
+	}
+	t.stamp = stamps.Add(1)
+	return d, nil
 }
 
 // ApplyAll applies a batch of updates atomically: either every update

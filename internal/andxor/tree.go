@@ -6,6 +6,7 @@ import (
 	"math/rand"
 	"sort"
 	"strings"
+	"sync/atomic"
 
 	"consensus/internal/types"
 )
@@ -35,7 +36,17 @@ type Tree struct {
 	// engine's delta path relies on.
 	keyLeaves map[string][]int
 	leafIndex map[*Node]int
+
+	// stamp identifies the tree's current content: New draws a fresh one
+	// and every successful Apply draws another, so caches keyed by the
+	// *Tree pointer (the genfunc program memo) can tell an in-place
+	// mutation from an unchanged tree.
+	stamp uint64
 }
+
+// stamps is the process-wide source of Tree stamps; a stamp is never
+// drawn twice.
+var stamps atomic.Uint64
 
 // New validates the DAG-free tree rooted at root and returns it as a Tree.
 // Validation also wires parent pointers, so nodes must belong to exactly
@@ -44,7 +55,7 @@ func New(root *Node) (*Tree, error) {
 	if root == nil {
 		return nil, fmt.Errorf("andxor: nil root")
 	}
-	t := &Tree{root: root}
+	t := &Tree{root: root, stamp: stamps.Add(1)}
 	seen := make(map[*Node]bool)
 	keySet := make(map[string]bool)
 	root.parent = nil
@@ -185,6 +196,12 @@ func (t *Tree) Keys() []string { return t.keys }
 // NumLeaves returns the number of tuple alternatives in the tree.
 func (t *Tree) NumLeaves() int { return len(t.leaves) }
 
+// Stamp returns the tree's mutation stamp: it changes on every successful
+// Apply or ApplyAll and is never reused by another tree state, while a
+// Clone carries its source's stamp.  Equal stamps on one *Tree therefore
+// mean unchanged content.
+func (t *Tree) Stamp() uint64 { return t.stamp }
+
 // MarginalProbs returns, for every leaf (indexed as in Leaves), the
 // probability that this exact alternative is present in a random possible
 // world.  Because choices at or-nodes are independent, a leaf is present
@@ -275,6 +292,7 @@ func (t *Tree) Clone() *Tree {
 		// t passed validation and the copy is structurally identical.
 		panic(fmt.Sprintf("andxor: cloning a valid tree failed validation: %v", err))
 	}
+	nt.stamp = t.stamp
 	return nt
 }
 

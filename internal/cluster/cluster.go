@@ -87,54 +87,10 @@ type Instance struct {
 }
 
 // FromTree builds the instance for an and/xor tree, computing w with the
-// generating-function method (experiment E13 checks it against
-// enumeration).
+// generating-function method on the compiled kernel (experiment E13
+// checks it against enumeration).
 func FromTree(t *andxor.Tree) *Instance {
-	keys := t.Keys()
-	leaves := t.LeafAlternatives()
-	n := len(keys)
-	idx := map[string]int{}
-	for i, k := range keys {
-		idx[k] = i
-	}
-	// Collect, per key, its labels.
-	labels := map[string]map[string]bool{}
-	for _, l := range leaves {
-		if labels[l.Key] == nil {
-			labels[l.Key] = map[string]bool{}
-		}
-		labels[l.Key][l.Label] = true
-	}
-	w := make([][]float64, n)
-	for i := range w {
-		w[i] = make([]float64, n)
-		w[i][i] = 1
-	}
-	for i := 0; i < n; i++ {
-		for j := i + 1; j < n; j++ {
-			ki, kj := keys[i], keys[j]
-			p := 0.0
-			// Same-label terms: coefficient of x^2 with both keys' label-a
-			// alternatives marked.
-			for a := range labels[ki] {
-				if !labels[kj][a] {
-					continue
-				}
-				f := genfunc.Eval1(t, func(_ int, l types.Leaf) int {
-					if (l.Key == ki || l.Key == kj) && l.Label == a {
-						return 1
-					}
-					return 0
-				}, 2)
-				p += f.Coeff(2)
-			}
-			// Both-absent term: the artificial cluster of missing keys.
-			p += genfunc.AllAbsent(t, map[string]bool{ki: true, kj: true})
-			w[i][j] = p
-			w[j][i] = p
-		}
-	}
-	return &Instance{Keys: keys, W: w}
+	return &Instance{Keys: t.Keys(), W: genfunc.CoClustering(t)}
 }
 
 // FromWorld returns the clustering a possible world induces over the

@@ -31,7 +31,7 @@ const (
 	// before launching a duplicate on the next replica.
 	DefaultHedgeDelay = 250 * time.Millisecond
 	// DefaultAdmissionCapacity is the cost-unit budget of in-flight work
-	// (see the cost classes in admission.go).
+	// (see the cost classes in engine.OpCost).
 	DefaultAdmissionCapacity = 256
 	// DefaultProbeInterval is the health-probe period.
 	DefaultProbeInterval = time.Second
@@ -118,7 +118,7 @@ type Coordinator struct {
 	attemptTimeout time.Duration
 	retries        int
 	hedgeDelay     time.Duration
-	adm            *admission
+	adm            *engine.Admission
 
 	// wal is the write-ahead log (nil without Options.DataDir); fence is
 	// this coordinator's fencing epoch, stamped by the wire client on
@@ -271,7 +271,7 @@ func New(opts Options) (*Coordinator, error) {
 		attemptTimeout:   attemptTimeout,
 		retries:          retries,
 		hedgeDelay:       hedge,
-		adm:              newAdmission(capacity),
+		adm:              engine.NewAdmission(capacity),
 		heartbeatTimeout: opts.HeartbeatTimeout,
 		members:          make(map[string]*member, len(addrs)),
 		shards:           make(map[string]*shard),
@@ -622,7 +622,7 @@ func (c *Coordinator) Query(req engine.Request) engine.Response {
 // or the read path (per-attempt timeouts, bounded retries on retryable
 // codes, one tail-hedged duplicate).
 func (c *Coordinator) QueryContext(ctx context.Context, req engine.Request) engine.Response {
-	cost := opCost(req.Op)
+	cost := engine.OpCost(req.Op)
 	if !c.adm.Admit(cost) {
 		return failResponse(req, engine.CodeOverloaded,
 			"distrib: admission control shed the request (op %s, cost %d); retry with backoff", req.Op, cost)

@@ -40,7 +40,8 @@ const maxRankingWorlds = 1 << 14
 
 // jaccardWorld answers OpMeanWorldJaccard / OpMedianWorldJaccard: the
 // Lemma 2 prefix search on tuple-independent trees resp. the Section 4.2
-// best-alternative prefix search on BID trees.
+// best-alternative prefix search on BID trees, the latter as one
+// incremental sweep on the entry's pinned program.
 func (e *Engine) jaccardWorld(resp *Response, te *treeEntry, req Request) error {
 	v, err := e.cache.get(e.key(te, req.Tree, "%s", req.Op), func() (any, error) {
 		var w *types.World
@@ -49,7 +50,7 @@ func (e *Engine) jaccardWorld(resp *Response, te *treeEntry, req Request) error 
 		if req.Op == OpMeanWorldJaccard {
 			w, exp, err = setconsensus.MeanWorldJaccard(te.tree)
 		} else {
-			w, exp, err = setconsensus.MedianWorldJaccard(te.tree)
+			w, exp, err = setconsensus.MedianWorldJaccard(te.tree, te.program())
 		}
 		if err != nil {
 			return nil, err
@@ -74,9 +75,9 @@ type clusteringResult struct {
 
 // clusteringMean answers OpClusteringMean: the exact partition search when
 // the instance is small enough, CC-Pivot with restarts otherwise.  The
-// expensive part — the co-clustering probability matrix, one generating-
-// function evaluation per tuple pair — is cached per tree under its own
-// key, so clustering queries with different restart counts or seeds
+// expensive part — the co-clustering probability matrix, one pairwise
+// sweep on the entry's compiled program — is cached per tree under its
+// own key, so clustering queries with different restart counts or seeds
 // recompute only the cheap pivot passes.
 func (e *Engine) clusteringMean(resp *Response, te *treeEntry, req Request) error {
 	restarts := req.Restarts
@@ -125,10 +126,12 @@ func (e *Engine) clusteringMean(resp *Response, te *treeEntry, req Request) erro
 
 // clusterInstance returns the (cached) co-clustering instance of the
 // tree, the expensive intermediate behind every clustering query (like
-// ranksAtLeast for the rank ops, it is shared across final answers).
+// ranksAtLeast for the rank ops, it is shared across final answers).  It
+// runs on the entry's pinned program, which the mutation path patches,
+// so it never compiles a second Program for the tree.
 func (e *Engine) clusterInstance(te *treeEntry, name string) (*cluster.Instance, error) {
 	v, err := e.cache.get(e.key(te, name, "cluster-instance"), func() (any, error) {
-		return cluster.FromTree(te.tree), nil
+		return &cluster.Instance{Keys: te.tree.Keys(), W: te.program().CoClustering()}, nil
 	})
 	if err != nil {
 		return nil, err

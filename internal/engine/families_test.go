@@ -77,7 +77,7 @@ func TestJaccardWorldsMatchLibrary(t *testing.T) {
 	}
 
 	resp = mustOk(t, e.Query(Request{Tree: "bid", Op: OpMedianWorldJaccard}))
-	wantW, wantE, err = setconsensus.MedianWorldJaccard(bid)
+	wantW, wantE, err = setconsensus.MedianWorldJaccard(bid, genfunc.Compile(bid))
 	if err != nil {
 		t.Fatal(err)
 	}

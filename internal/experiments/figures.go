@@ -58,7 +58,7 @@ func F1b() Result {
 		table = append(table, []string{want.World.String(), fmtFloat(want.Prob), fmtFloat(got)})
 	}
 	target := types.Leaf{Key: "t3", Score: 6}
-	f := genfunc.Eval2(tr, func(i int, l types.Leaf) (int, int) {
+	coefY := genfunc.Compile(tr).Coefficient(func(i int, l types.Leaf) (int, int) {
 		if l == target {
 			return 0, 1
 		}
@@ -66,8 +66,7 @@ func F1b() Result {
 			return 1, 0
 		}
 		return 0, 0
-	}, 2, 1)
-	coefY := f.Coeff(0, 1)
+	}, 0, 1)
 	if !numeric.AlmostEqual(coefY, 0.3, 1e-12) {
 		pass = false
 	}

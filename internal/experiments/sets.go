@@ -7,6 +7,7 @@ import (
 
 	"consensus/internal/andxor"
 	"consensus/internal/exact"
+	"consensus/internal/genfunc"
 	"consensus/internal/setconsensus"
 	"consensus/internal/types"
 	"consensus/internal/workload"
@@ -155,7 +156,7 @@ func E5() Result {
 		}
 
 		bid := workload.BID(rng, 2+rng.Intn(4), 2)
-		medW, medE, err := setconsensus.MedianWorldJaccard(bid)
+		medW, medE, err := setconsensus.MedianWorldJaccard(bid, genfunc.Compile(bid))
 		if err != nil {
 			continue
 		}

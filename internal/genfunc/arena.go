@@ -432,11 +432,16 @@ func (ar *arena) recomputeMul(id int32, in *inst) {
 	albase := int(in.a) * (ar.ycap + 1)
 	bbase := int(in.b) * ar.sz
 	blbase := int(in.b) * (ar.ycap + 1)
+	// Rows above an operand's top nonempty row are empty, so output row y
+	// pairs only ya in [y-tb, ta]: the cost follows the operands' actual
+	// y-degrees, not the cap (the Jaccard kernel's y-cap is the key count).
+	ta, tb := ar.topRow(albase), ar.topRow(blbase)
 	for y := 0; y <= ar.ycap; y++ {
+		lo, hi := max(0, y-tb), min(y, ta)
 		// Effective extent of the output row: the largest product extent
 		// over the contributing (ya, yb) row pairs, clamped to the cap.
 		ext := 0
-		for ya := 0; ya <= y; ya++ {
+		for ya := lo; ya <= hi; ya++ {
 			la := int(ar.lens[albase+ya])
 			lb := int(ar.lens[blbase+y-ya])
 			if la == 0 || lb == 0 {
@@ -452,7 +457,7 @@ func (ar *arena) recomputeMul(id int32, in *inst) {
 		}
 		dst := ar.vals[base+y*ar.w : base+y*ar.w+ext]
 		clear(dst)
-		for ya := 0; ya <= y; ya++ {
+		for ya := lo; ya <= hi; ya++ {
 			la := int(ar.lens[albase+ya])
 			lb := int(ar.lens[blbase+y-ya])
 			if la == 0 || lb == 0 {
@@ -464,4 +469,15 @@ func (ar *arena) recomputeMul(id int32, in *inst) {
 		}
 		ar.lens[lbase+y] = int32(ext)
 	}
+}
+
+// topRow returns the highest y-row with a nonzero effective length among
+// the rows whose lengths start at lbase, or -1 when all are empty.
+func (ar *arena) topRow(lbase int) int {
+	for y := ar.ycap; y >= 0; y-- {
+		if ar.lens[lbase+y] != 0 {
+			return y
+		}
+	}
+	return -1
 }

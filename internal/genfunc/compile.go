@@ -152,25 +152,43 @@ type Program struct {
 // never extends a tree's lifetime: the cleanup drops the entry when the
 // tree is collected (the cached Program holds no tree reference, so no
 // cycle keeps either alive).  The package-level evaluators (Ranks,
-// Precedence, ExpectedRank, ValidateScores, WorldSizeDist) compile each
-// distinct tree once instead of once per call; the engine additionally
-// pins programs per registered generation.
-var progCache sync.Map // weak.Pointer[andxor.Tree] -> *Program
+// Precedence, ExpectedRank, ValidateScores, WorldSizeDist, SubsetSizeDist,
+// CoClustering, ExpectedJaccard) compile each distinct tree state once
+// instead of once per call; the engine additionally pins programs per
+// registered generation.  Each entry records the tree's mutation stamp:
+// Tree.Apply and ApplyAll change a tree in place behind the same pointer,
+// and a stamp mismatch makes the next lookup recompile.
+var progCache sync.Map // weak.Pointer[andxor.Tree] -> *progEntry
 
-// compiled returns the memoized Program of t, compiling on first use.
+// progEntry is one progCache value: a Program and the stamp of the tree
+// state it was compiled from.
+type progEntry struct {
+	stamp uint64
+	prog  *Program
+}
+
+// compiled returns the memoized Program of t's current state, compiling
+// on first use and after every mutation of t.
 func compiled(t *andxor.Tree) *Program {
 	wp := weak.Make(t)
-	if v, ok := progCache.Load(wp); ok {
-		return v.(*Program)
+	stamp := t.Stamp()
+	v, ok := progCache.Load(wp)
+	if ok && v.(*progEntry).stamp == stamp {
+		return v.(*progEntry).prog
 	}
-	p := Compile(t)
-	if v, raced := progCache.LoadOrStore(wp, p); raced {
-		return v.(*Program)
+	e := &progEntry{stamp: stamp, prog: Compile(t)}
+	if ok {
+		// A stale entry: its cleanup is already registered.
+		progCache.Store(wp, e)
+		return e.prog
+	}
+	if v, raced := progCache.LoadOrStore(wp, e); raced {
+		return v.(*progEntry).prog
 	}
 	runtime.AddCleanup(t, func(key weak.Pointer[andxor.Tree]) {
 		progCache.Delete(key)
 	}, wp)
-	return p
+	return e.prog
 }
 
 // acquireArena returns a pooled arena with the given caps, reset to the

@@ -4,6 +4,9 @@ import (
 	"math/bits"
 	"runtime"
 	"sync"
+
+	"consensus/internal/andxor"
+	"consensus/internal/types"
 )
 
 // This file holds the batched statistic kernels that run on compiled
@@ -364,6 +367,164 @@ func (p *Program) precedenceSweep(ar *arena, j int32, emit func(kid int32, coeff
 	ar.flush()
 }
 
+// CoClustering returns the co-clustering matrix of Section 6.2 for t; see
+// Program.CoClustering.
+func CoClustering(t *andxor.Tree) [][]float64 {
+	return compiled(t).CoClustering()
+}
+
+// CoClustering returns w[i][j] = Pr(keys i and j fall in the same cluster
+// of a random world), rows and columns in the tree's sorted key order:
+// both present with equal labels, or both absent (the artificial cluster
+// of missing tuples); w[i][i] = 1.  All pairs share one pooled arena at
+// caps (2, 0).  With key i's label-a alternatives marked x, each key j
+// with label-a alternatives marks them too and reads the x² root
+// coefficient; with all of key i's alternatives marked, each key j marks
+// all of its own and reads the x⁰ coefficient, the both-absent term.
+// Each read costs a few leaf-path updates instead of a full tree pass.
+func (p *Program) CoClustering() [][]float64 {
+	n := len(p.keys)
+	w := make([][]float64, n)
+	for i := range w {
+		w[i] = make([]float64, n)
+		w[i][i] = 1
+	}
+	groups := p.labelGroups()
+	ar := p.acquireArena(2, 0)
+	for i := 0; i < n; i++ {
+		for _, g := range groups[i] {
+			markLeaves(ar, g.alts, 1)
+			for j := i + 1; j < n; j++ {
+				for _, gj := range groups[j] {
+					if gj.label != g.label {
+						continue
+					}
+					markLeaves(ar, gj.alts, 1)
+					ar.flush()
+					w[i][j] += ar.rootCoeff(2, 0)
+					markLeaves(ar, gj.alts, 0)
+				}
+			}
+			markLeaves(ar, g.alts, 0)
+		}
+		markLeaves(ar, p.altsOfKey[i], 1)
+		for j := i + 1; j < n; j++ {
+			markLeaves(ar, p.altsOfKey[j], 1)
+			ar.flush()
+			w[i][j] += ar.rootCoeff(0, 0)
+			w[j][i] = w[i][j]
+			markLeaves(ar, p.altsOfKey[j], 0)
+		}
+		markLeaves(ar, p.altsOfKey[i], 0)
+	}
+	ar.flush()
+	p.releaseArena(ar)
+	return w
+}
+
+// labelGroup is the alternatives of one key that carry one label.
+type labelGroup struct {
+	label string
+	alts  []int32
+}
+
+// labelGroups returns, per key id, its alternatives grouped by label, the
+// groups in the key's descending-score order of first appearance.
+func (p *Program) labelGroups() [][]labelGroup {
+	out := make([][]labelGroup, len(p.keys))
+	for kid, alts := range p.altsOfKey {
+		var gs []labelGroup
+		for _, b := range alts {
+			l := p.leaves[b].Label
+			k := 0
+			for k < len(gs) && gs[k].label != l {
+				k++
+			}
+			if k == len(gs) {
+				gs = append(gs, labelGroup{label: l})
+			}
+			gs[k].alts = append(gs[k].alts, b)
+		}
+		out[kid] = gs
+	}
+	return out
+}
+
+// markLeaves assigns x^xd to every listed leaf.
+func markLeaves(ar *arena, leaves []int32, xd int32) {
+	for _, b := range leaves {
+		ar.setLeaf(b, xd, 0)
+	}
+}
+
+// ExpectedJaccard returns E[d_J(W, pw)] for an arbitrary and/xor tree and
+// candidate world W (Lemma 1); see Program.JaccardPrefixes.
+func ExpectedJaccard(t *andxor.Tree, w *types.World) float64 {
+	es := compiled(t).JaccardPrefixes(w.Leaves())
+	return es[len(es)-1]
+}
+
+// JaccardPrefixes returns, for k = 0..len(prefix), E[d_J(W_k, pw)] with
+// W_k the world of the first k alternatives of prefix, whose keys must be
+// distinct (as a world's are).  It evaluates Lemma 1 with a dual-number
+// x: W_k's leaves carry 1+x and every other leaf y, at caps (1, number of
+// keys).  Writing I = |pw ∩ W_k| and J = |pw \ W_k| (at most one present
+// alternative per key), the root's x⁰yʲ coefficient is Pr(J=j) and its
+// x¹yʲ coefficient E[I; J=j], so
+//
+//	E[d_J] = Σⱼ ((|W_k|+j)·Pr(J=j) − E[I; J=j]) / (|W_k|+j),
+//
+// skipping |W_k|+j = 0 (d_J of two empty worlds is 0).  Growing the
+// prefix flips one alternative's leaves from y to 1+x, so the whole
+// sweep runs on one pooled arena at one leaf-path update per step.
+func (p *Program) JaccardPrefixes(prefix []types.Leaf) []float64 {
+	ar := p.acquireArena(1, len(p.keys))
+	for i := range p.leaves {
+		ar.setLeaf(int32(i), 0, 1)
+	}
+	out := make([]float64, len(prefix)+1)
+	for k := 0; ; k++ {
+		ar.flush()
+		for j := 0; j <= ar.ycap; j++ {
+			if den := float64(k + j); den != 0 {
+				out[k] += (den*ar.rootCoeff(0, j) - ar.rootCoeff(1, j)) / den
+			}
+		}
+		if k == len(prefix) {
+			break
+		}
+		if kid, ok := p.findKey(prefix[k].Key); ok {
+			for _, b := range p.altsOfKey[kid] {
+				if p.leaves[b] == prefix[k] {
+					ar.setLeaf(b, dualX, 0)
+				}
+			}
+		}
+	}
+	p.releaseArena(ar)
+	return out
+}
+
+// Coefficient evaluates one generating function of Theorem 1 on a pooled
+// arena: leaf i, when present, contributes the monomial x^a y^b with
+// (a, b) = assign(i, leaf), both non-negative, and the result is the
+// root's coefficient of x^i y^j — the total probability of the worlds
+// whose present leaves have x-degree i and y-degree j.
+func (p *Program) Coefficient(assign func(i int, l types.Leaf) (xdeg, ydeg int), i, j int) float64 {
+	ar := p.acquireArena(i, j)
+	for li, l := range p.leaves {
+		a, b := assign(li, l)
+		if a < 0 || b < 0 {
+			panic("genfunc: negative degree in a Coefficient assignment")
+		}
+		ar.setLeaf(int32(li), int32(a), int32(b))
+	}
+	ar.flush()
+	c := ar.rootCoeff(i, j)
+	p.releaseArena(ar)
+	return c
+}
+
 // findKey returns the program key id of key.
 func (p *Program) findKey(key string) (int32, bool) {
 	kid, ok := p.keyIdx[key]
@@ -376,31 +537,49 @@ func (p *Program) findKey(key string) (int32, bool) {
 // computed once per Program and shared by all evaluations.
 func (p *Program) sizeExtents() (lens, offs []int32) {
 	p.sizeOnce.Do(func() {
-		n := len(p.insts)
-		lens := make([]int32, n)
-		offs := make([]int32, n+1)
-		for i, in := range p.insts {
-			var l int32
-			switch in.op {
-			case opLeaf:
-				l = 2 // the monomial x
-			case opSum:
-				l = lens[in.a]
-				if in.b >= 0 && lens[in.b] > l {
-					l = lens[in.b]
-				}
-				if l < 1 {
-					l = 1
-				}
-			default: // opMul
-				l = lens[in.a] + lens[in.b] - 1
-			}
-			lens[i] = l
-			offs[i+1] = offs[i] + l
-		}
-		p.sizeLens, p.sizeOffs = lens, offs
+		p.sizeLens, p.sizeOffs = p.countExtents(nil)
 	})
 	return p.sizeLens, p.sizeOffs
+}
+
+// countExtents returns the per-instruction polynomial lengths and offsets
+// of an untruncated count evaluation in which leaf l contributes x when
+// marked[l] (every leaf when marked is nil) and the constant 1 otherwise.
+func (p *Program) countExtents(marked []bool) (lens, offs []int32) {
+	n := len(p.insts)
+	lens = make([]int32, n)
+	offs = make([]int32, n+1)
+	for i, in := range p.insts {
+		var l int32
+		switch in.op {
+		case opLeaf:
+			l = 1 // the constant 1
+			if marked == nil || marked[in.leaf] {
+				l = 2 // the monomial x
+			}
+		case opSum:
+			l = lens[in.a]
+			if in.b >= 0 && lens[in.b] > l {
+				l = lens[in.b]
+			}
+			if l < 1 {
+				l = 1
+			}
+		default: // opMul
+			l = lens[in.a] + lens[in.b] - 1
+		}
+		lens[i] = l
+		offs[i+1] = offs[i] + l
+	}
+	return lens, offs
+}
+
+// WorldSizeDist returns the distribution of possible-world sizes as a
+// polynomial: Coeff(i) = Pr(|pw| = i).  This is Example 1 of the paper
+// (assign the same variable x to every leaf), evaluated by the compiled
+// kernel in one allocation-light bottom-up pass over a pooled buffer.
+func WorldSizeDist(t *andxor.Tree) Poly {
+	return compiled(t).WorldSizeDist()
 }
 
 // WorldSizeDist computes the possible-world size distribution on the
@@ -426,7 +605,7 @@ func (p *Program) WorldSizeDist() Poly {
 	case p.sizeBuf == nil:
 		p.sizeBuf = make([]float64, offs[n])
 		for i := range p.insts {
-			p.sizeRecompute(lens, offs, int32(i))
+			p.countRecompute(p.sizeBuf, lens, offs, int32(i))
 		}
 	case len(p.sizeDirty) > 0:
 		dirty := make([]uint64, (n+63)/64)
@@ -442,7 +621,7 @@ func (p *Program) WorldSizeDist() Poly {
 		for w, word := range dirty {
 			base := int32(w) << 6
 			for word != 0 {
-				p.sizeRecompute(lens, offs, base+int32(bits.TrailingZeros64(word)))
+				p.countRecompute(p.sizeBuf, lens, offs, base+int32(bits.TrailingZeros64(word)))
 				word &= word - 1
 			}
 		}
@@ -454,18 +633,22 @@ func (p *Program) WorldSizeDist() Poly {
 	return out
 }
 
-// sizeRecompute rewrites instruction id's world-size row as a write-first
-// function of its children's rows: every cell of the row is stored, never
-// accumulated into, so the row lands on the same bits whether the buffer
-// is fresh (full pass) or carries a previous evaluation (dirty-path
-// repair).
-func (p *Program) sizeRecompute(lens, offs []int32, id int32) {
+// countRecompute rewrites instruction id's row of an untruncated count
+// evaluation in buf (countExtents layout: a leaf row of length 2 is the
+// monomial x, of length 1 the constant 1) as a write-first function of
+// its children's rows: every cell of the row is stored, never accumulated
+// into, so the row lands on the same bits whether the buffer is fresh
+// (full pass) or carries a previous evaluation (dirty-path repair).
+func (p *Program) countRecompute(buf []float64, lens, offs []int32, id int32) {
 	in := &p.insts[id]
-	buf := p.sizeBuf
 	dst := buf[offs[id] : offs[id]+lens[id]]
 	switch in.op {
 	case opLeaf:
-		dst[0], dst[1] = 0, 1
+		if len(dst) == 2 {
+			dst[0], dst[1] = 0, 1
+		} else {
+			dst[0] = 1
+		}
 	case opSum:
 		la := lens[in.a]
 		a := buf[offs[in.a] : offs[in.a]+la]
@@ -481,7 +664,7 @@ func (p *Program) sizeRecompute(lens, offs []int32, id int32) {
 		}
 		dst[0] += in.c
 	default:
-		// World-size rows are exact-width (dst is precisely
+		// Count rows are exact-width (dst is precisely
 		// len(a)+len(b)-1), so the untruncated kernel applies; convFull
 		// accumulates, so the row clears first.
 		clear(dst)
@@ -489,4 +672,23 @@ func (p *Program) sizeRecompute(lens, offs []int32, id int32) {
 		b := buf[offs[in.b] : offs[in.b]+lens[in.b]]
 		convFull(dst, a, b)
 	}
+}
+
+// SubsetSizeDist returns Pr(|pw ∩ S| = i) for the leaf subset S selected by
+// the predicate (Example 2 of the paper): leaves in S carry x and the
+// others the constant 1, evaluated untruncated on the compiled program
+// with exact per-instruction extents, as WorldSizeDist is.
+func SubsetSizeDist(t *andxor.Tree, inSubset func(i int, l types.Leaf) bool) Poly {
+	p := compiled(t)
+	marked := make([]bool, len(p.leaves))
+	for i, l := range p.leaves {
+		marked[i] = inSubset(i, l)
+	}
+	lens, offs := p.countExtents(marked)
+	buf := make([]float64, offs[len(p.insts)])
+	for i := range p.insts {
+		p.countRecompute(buf, lens, offs, int32(i))
+	}
+	root := len(p.insts) - 1
+	return Poly(append([]float64(nil), buf[offs[root]:offs[root+1]]...)).Trim(0)
 }

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"sort"
 	"testing"
 
 	"consensus/internal/andxor"
@@ -273,7 +274,150 @@ func FuzzCompiledKernel(f *testing.F) {
 		if gv, wv := ValidateScores(tr), validateScoresLegacy(tr); (gv == nil) != (wv == nil) {
 			t.Fatalf("ValidateScores verdict mismatch: kernel %v, legacy %v", gv, wv)
 		}
+		checkCoClustering(t, tr)
+		checkJaccardPrefixes(t, tr)
 	})
+}
+
+// diffTrees returns the trees of the co-clustering, Jaccard and subset
+// differential tests: independent, BID, nested and labeled shapes, every
+// other round with one alternative's edge set to probability zero.
+func diffTrees(t *testing.T, seed int64) []*andxor.Tree {
+	t.Helper()
+	rng := rand.New(rand.NewSource(seed))
+	var out []*andxor.Tree
+	for round := 0; round < 6; round++ {
+		n := 2 + rng.Intn(6)
+		for _, tr := range []*andxor.Tree{
+			workload.Independent(rng, n),
+			workload.BID(rng, n, 3),
+			workload.Nested(rng, n, 3),
+			workload.Labeled(rng, n, 3, 2),
+			workload.NestedLabeled(rng, n, 3, 2),
+		} {
+			if round%2 == 1 {
+				zeroOneEdge(t, tr, rng)
+			}
+			out = append(out, tr)
+		}
+	}
+	return out
+}
+
+// zeroOneEdge sets the edge probability of one random alternative to 0.
+func zeroOneEdge(t *testing.T, tr *andxor.Tree, rng *rand.Rand) {
+	t.Helper()
+	alts := tr.LeafAlternatives()
+	l := alts[rng.Intn(len(alts))]
+	if _, err := tr.Apply(andxor.Update{Kind: andxor.UpdateSetProb, Key: l.Key, Score: l.Score, Prob: 0}); err != nil {
+		t.Fatalf("zeroing %v: %v", l, err)
+	}
+}
+
+// medianPrefix returns the candidate order of the BID median-world
+// Jaccard search: each key's most probable alternative, by decreasing
+// marginal probability.
+func medianPrefix(tr *andxor.Tree) []types.Leaf {
+	probs := tr.MarginalProbs()
+	best := map[string]int{}
+	for i, l := range tr.LeafAlternatives() {
+		if b, ok := best[l.Key]; !ok || probs[i] > probs[b] {
+			best[l.Key] = i
+		}
+	}
+	idx := make([]int, 0, len(best))
+	for _, key := range tr.Keys() {
+		idx = append(idx, best[key])
+	}
+	sort.SliceStable(idx, func(a, b int) bool { return probs[idx[a]] > probs[idx[b]] })
+	out := make([]types.Leaf, len(idx))
+	for i, li := range idx {
+		out[i] = tr.LeafAlternatives()[li]
+	}
+	return out
+}
+
+// checkCoClustering pins CoClustering to the legacy per-pair recursive
+// evaluation.
+func checkCoClustering(t *testing.T, tr *andxor.Tree) {
+	t.Helper()
+	got, want := CoClustering(tr), coClusteringLegacy(tr)
+	for i := range want {
+		for j := range want[i] {
+			if d := math.Abs(got[i][j] - want[i][j]); d > kernelTol {
+				t.Fatalf("w[%d][%d] = %v, legacy %v (tree %s)", i, j, got[i][j], want[i][j], tr)
+			}
+		}
+	}
+}
+
+// checkJaccardPrefixes pins every prefix of the median-world candidate
+// order, and ExpectedJaccard of the full prefix world, to the legacy
+// Eval2 form of Lemma 1.
+func checkJaccardPrefixes(t *testing.T, tr *andxor.Tree) {
+	t.Helper()
+	prefix := medianPrefix(tr)
+	got := compiled(tr).JaccardPrefixes(prefix)
+	w := &types.World{}
+	for k := 0; k <= len(prefix); k++ {
+		if k > 0 {
+			w.Add(prefix[k-1])
+		}
+		if want := expectedJaccardLegacy(tr, w); math.Abs(got[k]-want) > kernelTol {
+			t.Fatalf("prefix %d: E[d_J] = %v, legacy %v (tree %s)", k, got[k], want, tr)
+		}
+	}
+	if e := ExpectedJaccard(tr, w); math.Abs(e-got[len(prefix)]) > kernelTol {
+		t.Fatalf("ExpectedJaccard = %v, full prefix %v", e, got[len(prefix)])
+	}
+}
+
+func TestCoClusteringMatchesLegacy(t *testing.T) {
+	for _, tr := range diffTrees(t, 81) {
+		checkCoClustering(t, tr)
+	}
+}
+
+func TestJaccardPrefixesMatchLegacy(t *testing.T) {
+	for _, tr := range diffTrees(t, 82) {
+		checkJaccardPrefixes(t, tr)
+	}
+}
+
+func TestSubsetSizeDistMatchesLegacy(t *testing.T) {
+	rng := rand.New(rand.NewSource(83))
+	for _, tr := range diffTrees(t, 83) {
+		marks := make([]bool, tr.NumLeaves())
+		for i := range marks {
+			marks[i] = rng.Intn(2) == 0
+		}
+		in := func(i int, _ types.Leaf) bool { return marks[i] }
+		got, want := SubsetSizeDist(tr, in), subsetSizeDistLegacy(tr, in)
+		for i := 0; i < max(len(got), len(want)); i++ {
+			if d := math.Abs(got.Coeff(i) - want.Coeff(i)); d > kernelTol {
+				t.Fatalf("Pr(|pw ∩ S| = %d) = %v, legacy %v (tree %s)", i, got.Coeff(i), want.Coeff(i), tr)
+			}
+		}
+	}
+}
+
+// TestCoefficientMatchesLegacy pins the single-shot Coefficient to Eval2
+// under random monomial assignments and coefficient positions.
+func TestCoefficientMatchesLegacy(t *testing.T) {
+	rng := rand.New(rand.NewSource(84))
+	for _, tr := range diffTrees(t, 84) {
+		xd := make([]int, tr.NumLeaves())
+		yd := make([]int, tr.NumLeaves())
+		for i := range xd {
+			xd[i], yd[i] = rng.Intn(3), rng.Intn(2)
+		}
+		assign := func(i int, _ types.Leaf) (int, int) { return xd[i], yd[i] }
+		i, j := rng.Intn(4), rng.Intn(3)
+		got := Compile(tr).Coefficient(assign, i, j)
+		if want := Eval2(tr, assign, i, j).Coeff(i, j); math.Abs(got-want) > kernelTol {
+			t.Fatalf("coefficient of x^%d y^%d = %v, legacy %v (tree %s)", i, j, got, want, tr)
+		}
+	}
 }
 
 // BenchmarkCompiledRanksSteadyState measures the allocation-free steady

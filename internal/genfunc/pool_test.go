@@ -28,6 +28,44 @@ func TestCompiledProgramMemoized(t *testing.T) {
 	}
 }
 
+// TestCompiledProgramTracksMutation pins the memo's mutation stamp:
+// Tree.Apply and ApplyAll change a tree in place behind the same pointer,
+// and the package-level evaluators must then answer for the mutated
+// tree, not from the program compiled before the mutation.
+func TestCompiledProgramTracksMutation(t *testing.T) {
+	tr, err := andxor.Independent([]andxor.TupleProb{
+		{Leaf: types.Leaf{Key: "a", Score: 2}, Prob: 0.5},
+		{Leaf: types.Leaf{Key: "b", Score: 1}, Prob: 0.5},
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	check := func(label string, want Poly) {
+		t.Helper()
+		got := WorldSizeDist(tr)
+		if len(got) != len(want) {
+			t.Fatalf("%s: WorldSizeDist = %v, want %v", label, got, want)
+		}
+		for i := range want {
+			if math.Abs(got[i]-want[i]) > kernelTol {
+				t.Fatalf("%s: WorldSizeDist = %v, want %v", label, got, want)
+			}
+		}
+	}
+	check("before", Poly{0.25, 0.5, 0.25})
+	if _, err := tr.Apply(andxor.Update{Kind: andxor.UpdateSetProb, Key: "a", Score: 2, Prob: 0.9}); err != nil {
+		t.Fatal(err)
+	}
+	check("after Apply", Poly{0.05, 0.5, 0.45})
+	if _, err := tr.ApplyAll([]andxor.Update{
+		{Kind: andxor.UpdateSetProb, Key: "a", Score: 2, Prob: 0.1},
+		{Kind: andxor.UpdateSetProb, Key: "b", Score: 1, Prob: 1},
+	}); err != nil {
+		t.Fatal(err)
+	}
+	check("after ApplyAll", Poly{0, 0.9, 0.1})
+}
+
 // TestArenaPoolReuse pins the arena pool: releasing an arena makes the
 // next acquisition of the same shape reuse it (no new allocation), while
 // a different shape gets its own arena; and a recycled arena starts from

@@ -11,35 +11,14 @@ import (
 )
 
 // ExpectedJaccard returns E[d_J(W, pw)] for an arbitrary and/xor tree and
-// an arbitrary candidate world W, using the bivariate generating function
-// of Lemma 1: mark leaves in W with x and leaves outside W with y; the
-// coefficient c_{i,j} of x^i y^j is the probability that |pw ∩ W| = i and
-// |pw \ W| = j, in which case the Jaccard distance is
-// (|W| - i + j) / (|W| + j).
+// an arbitrary candidate world W, using the generating function of
+// Lemma 1 on the compiled kernel: W's leaves carry a dual-number mark 1+x
+// and the other leaves y, so the coefficients of x⁰yʲ and x¹yʲ are
+// Pr(|pw \ W| = j) and E[|pw ∩ W|; |pw \ W| = j], from which the expected
+// distance (|W| - |pw ∩ W| + j) / (|W| + j) follows by linearity (see
+// genfunc.Program.JaccardPrefixes).
 func ExpectedJaccard(t *andxor.Tree, w *types.World) float64 {
-	n := t.NumLeaves()
-	sizeW := w.Len()
-	f := genfunc.Eval2(t, func(i int, l types.Leaf) (int, int) {
-		if w.Contains(l) {
-			return 1, 0
-		}
-		return 0, 1
-	}, sizeW, n)
-	e := 0.0
-	for i := 0; i <= sizeW; i++ {
-		for j := 0; j <= n; j++ {
-			c := f.Coeff(i, j)
-			if c == 0 {
-				continue
-			}
-			den := float64(sizeW + j)
-			if den == 0 {
-				continue // d_J(empty, empty) = 0
-			}
-			e += c * float64(sizeW-i+j) / den
-		}
-	}
-	return e
+	return genfunc.ExpectedJaccard(t, w)
 }
 
 // independentTuples extracts the (leaf, probability) pairs of a
@@ -165,13 +144,14 @@ func bidBlocks(t *andxor.Tree) ([]andxor.Block, error) {
 // highest-probability alternative is considered, tuples are sorted by that
 // probability, and each prefix that is a possible world is evaluated with
 // the Lemma 1 generating function; the best one is returned with its
-// expected distance.
+// expected distance.  p must be t's compiled program (genfunc.Compile):
+// all prefixes are evaluated in one incremental sweep on it.
 //
 // Candidate prefixes that are not possible worlds (which happens only when
 // some block's probabilities sum to exactly 1, forcing the tuple into
 // every world) are skipped; if no candidate is possible the function
 // reports an error rather than returning a non-answer.
-func MedianWorldJaccard(t *andxor.Tree) (*types.World, float64, error) {
+func MedianWorldJaccard(t *andxor.Tree, p *genfunc.Program) (*types.World, float64, error) {
 	blocks, err := bidBlocks(t)
 	if err != nil {
 		return nil, 0, err
@@ -190,6 +170,11 @@ func MedianWorldJaccard(t *andxor.Tree) (*types.World, float64, error) {
 	}
 	sort.SliceStable(best, func(i, j int) bool { return best[i].Prob > best[j].Prob })
 
+	prefix := make([]types.Leaf, len(best))
+	for i, tp := range best {
+		prefix[i] = tp.Leaf
+	}
+	es := p.JaccardPrefixes(prefix)
 	bestE := math.Inf(1)
 	var bestW *types.World
 	w := &types.World{}
@@ -200,8 +185,8 @@ func MedianWorldJaccard(t *andxor.Tree) (*types.World, float64, error) {
 		if !andxor.IsPossible(t, w) {
 			continue
 		}
-		if e := ExpectedJaccard(t, w); e < bestE {
-			bestE = e
+		if es[k] < bestE {
+			bestE = es[k]
 			bestW = w.Clone()
 		}
 	}

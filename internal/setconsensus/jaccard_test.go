@@ -127,7 +127,7 @@ func TestMedianWorldJaccardIsOptimal(t *testing.T) {
 	optimal, tested := 0, 0
 	for trial := 0; trial < 40; trial++ {
 		tr := workload.BID(rng, 2+rng.Intn(4), 2)
-		got, gotE, err := MedianWorldJaccard(tr)
+		got, gotE, err := MedianWorldJaccard(tr, genfunc.Compile(tr))
 		if err != nil {
 			continue // no possible prefix candidate (forced blocks); rare
 		}
@@ -160,7 +160,7 @@ func TestMedianWorldJaccardIsOptimal(t *testing.T) {
 }
 
 func TestMedianWorldJaccardBIDShapeCheck(t *testing.T) {
-	if _, _, err := MedianWorldJaccard(andxor.Figure1iii()); err == nil {
+	if _, _, err := MedianWorldJaccard(andxor.Figure1iii(), genfunc.Compile(andxor.Figure1iii())); err == nil {
 		t.Fatal("non-BID tree must be rejected")
 	}
 }
