@@ -96,18 +96,23 @@ cover:
 	awk "BEGIN { exit !($$total >= $(COVER_FLOOR)) }" || { \
 		echo "coverage $$total% is below the $(COVER_FLOOR)% floor"; exit 1; }
 
-# Fuzz smoke: short randomized runs of the HTTP request-decoding target
-# (which seeds both the legacy flat form and the v1 envelope), the
-# coordinator's cluster-admin endpoints, the write-ahead-log replay
-# path (committed seeds cover torn tails and corrupted checksums), and the
-# median top-k DP against its legacy oracle, enough to catch
-# decode/validation/recovery panics and DP divergence without burning CI
-# time.
+# Fuzz smoke: short randomized runs of every fuzz target: the HTTP
+# request-decoding target (which seeds both the legacy flat form and the
+# v1 envelope), the coordinator's cluster-admin endpoints, the
+# write-ahead-log replay path (committed seeds cover torn tails and
+# corrupted checksums), the median top-k DP against its legacy oracle,
+# the compiled generating-function kernel and its delta path against the
+# recursive oracles, and the compiled world sampler against the recursive
+# walk, enough to catch decode/validation/recovery panics and divergence
+# from an oracle without burning CI time.
 fuzz:
 	$(GO) test ./internal/engine -run XXX -fuzz FuzzHandlerQuery -fuzztime 10s
 	$(GO) test ./internal/distrib -run XXX -fuzz FuzzClusterAdmin -fuzztime 10s
 	$(GO) test ./internal/distrib -run XXX -fuzz FuzzWALReplay -fuzztime 10s
 	$(GO) test ./internal/topk -run XXX -fuzz FuzzMedianDP -fuzztime 10s
+	$(GO) test ./internal/genfunc -run XXX -fuzz FuzzCompiledKernel -fuzztime 10s
+	$(GO) test ./internal/genfunc -run XXX -fuzz FuzzApplyDelta -fuzztime 10s
+	$(GO) test ./internal/andxor -run XXX -fuzz FuzzSampler -fuzztime 10s
 
 # Distributed-tier smoke: one durable coordinator over three loopback
 # workers cross-checked byte-for-byte against a single-process server on

@@ -7,7 +7,6 @@ package consensus
 //
 //	go test -bench=. -benchmem
 import (
-	"context"
 	"fmt"
 	"math/rand"
 	"testing"
@@ -18,7 +17,6 @@ import (
 	"consensus/internal/cluster"
 	"consensus/internal/exact"
 	"consensus/internal/genfunc"
-	"consensus/internal/montecarlo"
 	"consensus/internal/setconsensus"
 	"consensus/internal/spj"
 	"consensus/internal/topk"
@@ -467,7 +465,7 @@ func BenchmarkB10MonteCarlo(b *testing.B) {
 	b.ReportAllocs()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
-		if _, err := montecarlo.ExpectedValue(context.Background(), tr, func(w *types.World) float64 {
+		if _, err := EstimateExpected(tr, func(w *types.World) float64 {
 			return float64(w.Len())
 		}, 100, rng); err != nil {
 			b.Fatal(err)

@@ -231,6 +231,12 @@ func TestFacadeBaselines(t *testing.T) {
 	if tau, _, err := UTopKSampled(db, 2, 1000, rand.New(rand.NewSource(3))); err != nil || len(tau) == 0 {
 		t.Fatalf("UTopKSampled %v %v", tau, err)
 	}
+	if _, _, err := UTopK(db, -1, 0); err == nil {
+		t.Fatal("UTopK with k=-1 must error, not panic")
+	}
+	if _, _, err := UTopKSampled(db, -1, 1000, rand.New(rand.NewSource(3))); err == nil {
+		t.Fatal("UTopKSampled with k=-1 must error, not panic")
+	}
 	if tau, err := ExpectedRankTopK(db, 2); err != nil || len(tau) != 2 {
 		t.Fatalf("ExpectedRankTopK %v %v", tau, err)
 	}

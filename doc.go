@@ -38,8 +38,8 @@
 //   - an adaptive Monte-Carlo backend: every engine request may carry an
 //     evaluation mode ("exact", "approx", "auto") and an error budget
 //     (epsilon, delta), and the engine either runs the exact algorithms or
-//     worker-sharded sampling with Hoeffding / empirical-Bernstein
-//     stopping, reporting the realized confidence radius in the response;
+//     seeded sampling with Hoeffding / empirical-Bernstein stopping,
+//     reporting the realized confidence radius in the response;
 //   - in-place mutation and evidence conditioning of registered trees
 //     (OpMutate, OpCondition), singly or as atomic batches: probability
 //     updates, alternative inserts/deletes and observed evidence propagate
@@ -252,6 +252,9 @@
 // approx: {backend, radius, samples, epsilon, delta}; exact and sampled
 // intermediates are cached under separate keys, so budgets never collide.
 // Consensus worlds, median top-k and world probabilities are exact-only.
+// A sampled answer depends only on the request's seed: the sampler draws
+// from a fixed set of RNG streams however many goroutines run them, so
+// hosts with different core counts return the same bytes.
 //
 // # Error codes
 //
@@ -316,7 +319,9 @@
 // hedge on top.  Membership is administered at runtime via POST
 // /cluster/join and POST /cluster/leave ({"addr":"http://host:port"})
 // and inspected via GET /cluster/members; joins and leaves rebalance
-// shard placements before answering.
+// shard placements before answering.  A coordinator's GET /v1/stats sums
+// the cache counters of the workers that answer and adds
+// workers_reporting and workers_total, so a partial sum is visible.
 //
 // # Durable cluster state
 //

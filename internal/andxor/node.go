@@ -14,6 +14,9 @@
 // p-or-sets and the block-independent disjoint (BID) scheme, and can encode
 // an arbitrary finite distribution over possible worlds (Figure 1 of the
 // paper shows both an independent instance and a fully-correlated one).
+//
+// Sampler (sampler.go) is the repository's one world-sampling walk: a
+// tree compiled into flat nodes that draws worlds as leaf-index buffers.
 package andxor
 
 import (

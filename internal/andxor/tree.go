@@ -297,33 +297,13 @@ func (t *Tree) Clone() *Tree {
 }
 
 // Sample draws one possible world according to the tree's distribution,
-// using rng as the randomness source.
+// using rng as the randomness source.  It compiles a Sampler for the one
+// draw; a loop should build the Sampler once with NewSampler and draw
+// with Sampler.Draw or SampleInto (same rng consumption, so the same
+// worlds).
 func (t *Tree) Sample(rng *rand.Rand) *types.World {
-	w := &types.World{}
-	var walk func(n *Node)
-	walk = func(n *Node) {
-		switch n.kind {
-		case KindLeaf:
-			w.Add(n.leaf)
-		case KindAnd:
-			for _, c := range n.children {
-				walk(c)
-			}
-		case KindOr:
-			u := rng.Float64()
-			acc := 0.0
-			for i, c := range n.children {
-				acc += n.probs[i]
-				if u < acc {
-					walk(c)
-					return
-				}
-			}
-			// fall through: select nothing
-		}
-	}
-	walk(t.root)
-	return w
+	s := NewSampler(t)
+	return s.World(s.SampleInto(rng, nil))
 }
 
 // ScoresDistinctAcrossKeys reports whether no two alternatives of different

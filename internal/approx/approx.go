@@ -15,18 +15,20 @@
 // vector-valued estimates) tightened by empirical-Bernstein early stopping
 // where the observed variance allows.
 //
-// Sampling is sharded across workers, each shard owning its own
-// deterministically seeded RNG; shard partials are merged in shard order,
-// so results are reproducible for a fixed (seed, workers) pair.  All
-// entry points take a context and stop sampling promptly on cancellation.
+// Worlds are drawn by andxor.Sampler, the repository's one compiled
+// sampling walk, from a fixed number of deterministically seeded RNG
+// streams (Streams); Options.Workers goroutines run the streams and their
+// partials merge in stream order, so an answer depends only on the seed,
+// never on the worker count or the host's cores.  All entry points take a
+// context and stop sampling promptly on cancellation.  The package also
+// owns the general Hoeffding sample-count and radius formulas and the
+// Moments accumulator that the root package's sampling helpers use.
 package approx
 
 import (
 	"fmt"
 	"math"
 	"runtime"
-
-	"consensus/internal/montecarlo"
 )
 
 // Default budget and sampling parameters, applied when the corresponding
@@ -82,12 +84,14 @@ func (b Budget) Normalized() Budget {
 }
 
 // Options configures the sampling machinery (as opposed to the statistical
-// budget).  The zero value selects GOMAXPROCS shards, DefaultSeed and
+// budget).  The zero value selects GOMAXPROCS workers, DefaultSeed and
 // DefaultMaxSamples.
 type Options struct {
-	// Workers is the number of sampling shards; <= 0 selects GOMAXPROCS.
+	// Workers is the number of goroutines that run the Streams RNG
+	// streams; <= 0 selects GOMAXPROCS, and values above Streams are
+	// capped.  It changes speed only, never the answer.
 	Workers int
-	// Seed is the base RNG seed; shard i derives its own stream from it.
+	// Seed is the base RNG seed; stream i derives its own RNG from it.
 	// Zero selects DefaultSeed.
 	Seed int64
 	// MaxSamples caps the total worlds one estimate may draw; <= 0
@@ -99,6 +103,7 @@ func (o Options) normalized() Options {
 	if o.Workers <= 0 {
 		o.Workers = runtime.GOMAXPROCS(0)
 	}
+	o.Workers = min(o.Workers, Streams)
 	if o.Seed == 0 {
 		o.Seed = DefaultSeed
 	}
@@ -145,16 +150,41 @@ func FixedSamples(b Budget, max int) (int, error) {
 // mean of n samples of a [0,1]-bounded quantity under the budget: the
 // Radius companion of FixedSamples.
 func FixedRadius(n int, b Budget) float64 {
-	return hoeffdingRadius(n, b.Normalized().Delta)
+	return HoeffdingRadius(n, 0, 1, b.Normalized().Delta)
+}
+
+// HoeffdingRadius returns the half-width of the (1-delta) confidence
+// interval for a mean of n samples of a quantity bounded in [lo, hi]:
+// (hi-lo) * sqrt(ln(2/delta) / (2n)).
+func HoeffdingRadius(n int, lo, hi, delta float64) float64 {
+	if n <= 0 || hi <= lo || delta <= 0 || delta >= 1 {
+		return math.Inf(1)
+	}
+	return (hi - lo) * math.Sqrt(math.Log(2/delta)/(2*float64(n)))
+}
+
+// HoeffdingSamples returns the number of samples sufficient for a
+// (1-delta) confidence interval of half-width at most eps for a quantity
+// bounded in [lo, hi].  Budgets whose count would not even fit an int64
+// (adversarially tiny eps) are rejected rather than overflowed.
+func HoeffdingSamples(eps, lo, hi, delta float64) (int, error) {
+	if eps <= 0 || hi <= lo || delta <= 0 || delta >= 1 {
+		return 0, fmt.Errorf("approx: need eps > 0, hi > lo, 0 < delta < 1")
+	}
+	n := math.Ceil((hi - lo) * (hi - lo) * math.Log(2/delta) / (2 * eps * eps))
+	if math.IsNaN(n) || n >= float64(math.MaxInt64) {
+		return 0, fmt.Errorf("approx: budget (eps=%g, delta=%g) needs %g samples, beyond any feasible run", eps, delta, n)
+	}
+	return int(n), nil
 }
 
 // hoeffdingSamples returns the sample count sufficient for half-width eps
-// on a [0,1]-valued mean at confidence 1-delta (montecarlo owns the
-// formula), erroring out when the budget needs more than max draws.
+// on a [0,1]-valued mean at confidence 1-delta, erroring out when the
+// budget needs more than max draws.
 func hoeffdingSamples(eps, delta float64, max int) (int, error) {
-	n, err := montecarlo.HoeffdingSamples(eps, 0, 1, delta)
+	n, err := HoeffdingSamples(eps, 0, 1, delta)
 	if err != nil {
-		return 0, fmt.Errorf("approx: %w", err)
+		return 0, err
 	}
 	if n > max {
 		return 0, fmt.Errorf("approx: budget (epsilon=%g, delta=%g) needs %d samples, above the %d cap; loosen the budget", eps, delta, n, max)
@@ -163,12 +193,6 @@ func hoeffdingSamples(eps, delta float64, max int) (int, error) {
 		n = 1
 	}
 	return n, nil
-}
-
-// hoeffdingRadius is the half-width of the (1-delta) interval for a mean
-// of n samples of a [0,1]-bounded quantity.
-func hoeffdingRadius(n int, delta float64) float64 {
-	return montecarlo.HoeffdingRadius(n, 0, 1, delta)
 }
 
 // bernsteinRadius is the empirical-Bernstein (1-delta) half-width for a
@@ -182,3 +206,44 @@ func bernsteinRadius(n int, v, delta float64) float64 {
 	l := math.Log(3 / delta)
 	return math.Sqrt(2*v*l/float64(n)) + 3*l/float64(n)
 }
+
+// Moments accumulates the count, sum and sum of squares of a stream of
+// observations: the one mean and standard-error computation behind every
+// sampled estimate.
+type Moments struct {
+	N          int
+	Sum, SumSq float64
+}
+
+// Add records one observation.
+func (m *Moments) Add(v float64) {
+	m.N++
+	m.Sum += v
+	m.SumSq += v * v
+}
+
+// Merge folds another accumulator's observations into m.
+func (m *Moments) Merge(o Moments) {
+	m.N += o.N
+	m.Sum += o.Sum
+	m.SumSq += o.SumSq
+}
+
+// Mean returns the sample mean.
+func (m Moments) Mean() float64 { return m.Sum / float64(m.N) }
+
+// Variance returns the unbiased sample variance, clamped at zero against
+// rounding; zero for fewer than two observations.
+func (m Moments) Variance() float64 {
+	if m.N <= 1 {
+		return 0
+	}
+	v := (m.SumSq - m.Sum*m.Mean()) / float64(m.N-1)
+	if v < 0 {
+		v = 0
+	}
+	return v
+}
+
+// StdErr returns the standard error of the mean, s / sqrt(n).
+func (m Moments) StdErr() float64 { return math.Sqrt(m.Variance() / float64(m.N)) }

@@ -2,11 +2,15 @@ package approx
 
 import (
 	"context"
+	"math"
 	"math/rand"
 	"reflect"
 	"testing"
 	"time"
 
+	"consensus/internal/andxor"
+	"consensus/internal/exact"
+	"consensus/internal/types"
 	"consensus/internal/workload"
 )
 
@@ -39,39 +43,6 @@ func TestInfeasibleBudgetRejected(t *testing.T) {
 	}
 }
 
-// TestSamplerMatchesTreeSample pins the compiled sampler to the reference
-// Tree.Sample: both consume one uniform variate per visited or-node in the
-// same order, so the same seed must produce the same worlds.
-func TestSamplerMatchesTreeSample(t *testing.T) {
-	for seed := int64(1); seed <= 3; seed++ {
-		tr := workload.Nested(rand.New(rand.NewSource(seed)), 12, 3)
-		s := newSampler(tr)
-		leaves := tr.LeafAlternatives()
-		rngA := rand.New(rand.NewSource(99 + seed))
-		rngB := rand.New(rand.NewSource(99 + seed))
-		for draw := 0; draw < 50; draw++ {
-			want := tr.Sample(rngA)
-			var buf []int32
-			buf = s.sampleInto(rngB, buf)
-			if len(buf) != want.Len() {
-				t.Fatalf("seed %d draw %d: sampler world has %d leaves, Tree.Sample %d", seed, draw, len(buf), want.Len())
-			}
-			for _, li := range buf {
-				if !want.Contains(leaves[li]) {
-					t.Fatalf("seed %d draw %d: sampler produced %v, absent from %v", seed, draw, leaves[li], want)
-				}
-			}
-			// The top-k extraction must agree with the World method.
-			present := make([]bool, s.numLeaves())
-			got := s.topKInto(buf, 4, present, nil)
-			wantTop := want.TopK(4)
-			if len(got) != len(wantTop) || (len(got) > 0 && !reflect.DeepEqual([]string(got), wantTop)) {
-				t.Fatalf("seed %d draw %d: topKInto %v, want %v", seed, draw, got, wantTop)
-			}
-		}
-	}
-}
-
 func TestRanksDeterministicPerSeed(t *testing.T) {
 	tr := workload.BID(rand.New(rand.NewSource(5)), 15, 2)
 	b := Budget{Epsilon: 0.1, Delta: 0.01}
@@ -101,6 +72,88 @@ func TestRanksDeterministicPerSeed(t *testing.T) {
 	}
 	if same {
 		t.Fatal("different seeds produced identical estimates; the seed is not wired through")
+	}
+	// The worker count only sets parallelism: one worker must reproduce
+	// the four-worker answer bit for bit, for the fixed-count estimators
+	// and the adaptive mean alike.
+	one, err := Ranks(context.Background(), tr, 4, b, Options{Workers: 1, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, key := range a.Keys() {
+		if !reflect.DeepEqual(a.Dist(key), one.Dist(key)) {
+			t.Fatalf("Workers 1 vs 4 disagree for %s: %v vs %v", key, one.Dist(key), a.Dist(key))
+		}
+	}
+	tau := []string{a.Keys()[0], a.Keys()[1]}
+	e4, err := ExpectedTopKDistance(context.Background(), tr, tau, 2, "footrule", b, o)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e1, err := ExpectedTopKDistance(context.Background(), tr, tau, 2, "footrule", b, Options{Workers: 1, Seed: 7})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if e1 != e4 {
+		t.Fatalf("ExpectedTopKDistance with Workers 1 vs 4: %+v vs %+v", e1, e4)
+	}
+}
+
+func TestHoeffding(t *testing.T) {
+	n, err := HoeffdingSamples(0.01, 0, 1, 0.05)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// (1/2) ln(2/0.05) / 1e-4 ~ 18445.
+	if n < 18000 || n > 19000 {
+		t.Fatalf("HoeffdingSamples = %d", n)
+	}
+	r := HoeffdingRadius(n, 0, 1, 0.05)
+	if r > 0.01+1e-9 {
+		t.Fatalf("radius %g exceeds requested eps", r)
+	}
+	if _, err := HoeffdingSamples(-1, 0, 1, 0.05); err == nil {
+		t.Fatal("bad eps must error")
+	}
+	if !math.IsInf(HoeffdingRadius(0, 0, 1, 0.05), 1) {
+		t.Fatal("n=0 radius must be infinite")
+	}
+}
+
+// The Hoeffding guarantee, empirically: across many repetitions, the
+// sample mean is inside the radius around the truth at least 1-delta of
+// the time (deterministic given the seed).
+func TestHoeffdingCoverage(t *testing.T) {
+	tr := workload.Independent(rand.New(rand.NewSource(203)), 5)
+	ws := exact.MustEnumerate(tr)
+	truth := exact.ExpectedOver(ws, func(w *types.World) float64 {
+		if w.Len() >= 3 {
+			return 1
+		}
+		return 0
+	})
+	const reps, n, delta = 200, 400, 0.1
+	radius := HoeffdingRadius(n, 0, 1, delta)
+	s := andxor.NewSampler(tr)
+	rng := rand.New(rand.NewSource(204))
+	var buf []int32
+	misses := 0
+	for r := 0; r < reps; r++ {
+		var m Moments
+		for i := 0; i < n; i++ {
+			buf = s.SampleInto(rng, buf[:0])
+			if len(buf) >= 3 { // one leaf per key: the world's size
+				m.Add(1)
+			} else {
+				m.Add(0)
+			}
+		}
+		if math.Abs(m.Mean()-truth) > radius {
+			misses++
+		}
+	}
+	if float64(misses)/reps > delta {
+		t.Fatalf("Hoeffding coverage violated: %d/%d misses at delta=%g", misses, reps, delta)
 	}
 }
 

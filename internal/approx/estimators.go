@@ -3,7 +3,6 @@ package approx
 import (
 	"context"
 	"fmt"
-	"sync"
 
 	"consensus/internal/andxor"
 )
@@ -56,50 +55,44 @@ func (re *RankEstimate) Dist(key string) []float64 {
 	return append([]float64(nil), d[1:]...)
 }
 
-// countWorlds draws total worlds sharded across o.Workers goroutines.
-// Each shard owns a deterministic RNG and a private int64 count vector of
-// length width, filled by an observer from newObserver (one per shard, so
-// observers may carry scratch state); the per-shard vectors are summed in
-// shard order.  Integer counts make the merge exact, so results are
-// independent of scheduling.
-func countWorlds(ctx context.Context, s *sampler, total, width int, o Options,
-	newObserver func() func(counts []int64, world []int32)) ([]int64, error) {
-	sizes := shardSizes(total, o.Workers)
-	perShard := make([][]int64, len(sizes))
-	errs := make([]error, len(sizes))
-	var wg sync.WaitGroup
-	for shard, n := range sizes {
-		wg.Add(1)
-		go func(shard, n int) {
-			defer wg.Done()
-			rng := shardRNG(o.Seed, shard)
-			observe := newObserver()
-			counts := make([]int64, width)
-			var buf []int32
-			for i := 0; i < n; i++ {
-				if err := checkCtx(ctx, i); err != nil {
-					errs[shard] = err
-					return
-				}
-				buf = s.sampleInto(rng, buf[:0])
-				observe(counts, buf)
-			}
-			perShard[shard] = counts
-		}(shard, n)
+// countWorlds draws enough worlds for every one of coords [0,1]-valued
+// frequencies to land within the budget simultaneously (union bound),
+// split over the Streams RNG streams, and counts them into an int64
+// vector of length width through an observer from newObserver (one per
+// worker, so observers may carry scratch state).  Each worker counts into
+// its own vector and the vectors are summed; integer counts make the
+// merge exact, so the result depends only on the seed, not on scheduling
+// or the worker count.
+func countWorlds(ctx context.Context, s *andxor.Sampler, coords, width int, b Budget, o Options,
+	newObserver func() func(counts []int64, world []int32)) ([]int64, Info, error) {
+	deltaCoord := b.Delta / float64(coords)
+	total, err := hoeffdingSamples(b.Epsilon, deltaCoord, o.MaxSamples)
+	if err != nil {
+		return nil, Info{}, err
 	}
-	wg.Wait()
-	for _, err := range errs {
-		if err != nil {
-			return nil, fmt.Errorf("approx: sampling interrupted: %w", err)
-		}
+	sizes := split(total)
+	type worker struct {
+		counts  []int64
+		observe func(counts []int64, world []int32)
 	}
-	merged := make([]int64, width)
-	for _, counts := range perShard {
-		for i, c := range counts {
+	workers := make([]worker, o.Workers)
+	for w := range workers {
+		workers[w] = worker{counts: make([]int64, width), observe: newObserver()}
+	}
+	err = forStreams(o.Workers, func(w, si int) error {
+		wk := workers[w]
+		return s.Draw(ctx, sizes[si], streamRNG(o.Seed, si), func(world []int32) { wk.observe(wk.counts, world) })
+	})
+	if err != nil {
+		return nil, Info{}, err
+	}
+	merged := workers[0].counts
+	for _, wk := range workers[1:] {
+		for i, c := range wk.counts {
 			merged[i] += c
 		}
 	}
-	return merged, nil
+	return merged, Info{Radius: HoeffdingRadius(total, 0, 1, deltaCoord), Samples: total}, nil
 }
 
 // Ranks estimates the rank distribution of every tuple key up to cutoff k
@@ -112,24 +105,26 @@ func Ranks(ctx context.Context, t *andxor.Tree, k int, b Budget, o Options) (*Ra
 		return nil, err
 	}
 	b, o = b.Normalized(), o.normalized()
-	s := newSampler(t)
-	if k > len(s.keys) {
-		k = len(s.keys)
+	s := andxor.NewSampler(t)
+	keys := s.Keys()
+	if k > len(keys) {
+		k = len(keys)
 	}
 	if k < 1 {
 		return nil, fmt.Errorf("approx: rank cutoff k = %d must be positive", k)
 	}
-	m := 2 * k * len(s.keys) // eq and le cells under the union bound
-	deltaCoord := b.Delta / float64(m)
-	total, err := hoeffdingSamples(b.Epsilon, deltaCoord, o.MaxSamples)
-	if err != nil {
-		return nil, err
-	}
-	width := len(s.keys) * k
-	counts, err := countWorlds(ctx, s, total, width, o, func() func(counts []int64, world []int32) {
-		present := make([]bool, s.numLeaves())
+	// The union bound covers the eq and le cells, 2k per key.
+	counts, info, err := countWorlds(ctx, s, 2*k*len(keys), len(keys)*k, b, o, func() func(counts []int64, world []int32) {
+		present := make([]bool, s.NumLeaves())
+		var ranked []int32
 		return func(counts []int64, world []int32) {
-			rankWorld(s, world, k, present, counts)
+			// The j-th key of the world's ranking has rank j: scores are
+			// distinct across co-occurring keys, and alternatives of one
+			// key are mutually exclusive.
+			ranked = s.RankedKeys(world, k, present, ranked[:0])
+			for r, ki := range ranked {
+				counts[int(ki)*k+r]++
+			}
 		}
 	})
 	if err != nil {
@@ -137,13 +132,13 @@ func Ranks(ctx context.Context, t *andxor.Tree, k int, b Budget, o Options) (*Ra
 	}
 	re := &RankEstimate{
 		K:    k,
-		Info: Info{Radius: hoeffdingRadius(total, deltaCoord), Samples: total},
-		keys: s.keys,
-		eq:   make(map[string][]float64, len(s.keys)),
-		le:   make(map[string][]float64, len(s.keys)),
+		Info: info,
+		keys: keys,
+		eq:   make(map[string][]float64, len(keys)),
+		le:   make(map[string][]float64, len(keys)),
 	}
-	n := float64(total)
-	for ki, key := range s.keys {
+	n := float64(info.Samples)
+	for ki, key := range keys {
 		eq := make([]float64, k+1)
 		le := make([]float64, k+1)
 		acc := int64(0)
@@ -159,35 +154,6 @@ func Ranks(ctx context.Context, t *andxor.Tree, k int, b Budget, o Options) (*Ra
 	return re, nil
 }
 
-// rankWorld records the ranks (up to k) of the keys present in the world:
-// scanning the global score-descending order, the j-th present leaf has
-// rank j (scores are distinct across co-occurring keys, and alternatives
-// of one key are mutually exclusive).  The scan exits as soon as k present
-// leaves are seen, so dense worlds pay O(k/density) rather than O(n).
-// present is caller-owned scratch, all-false on entry and on return.
-func rankWorld(s *sampler, world []int32, k int, present []bool, counts []int64) {
-	if len(world) == 0 {
-		return
-	}
-	for _, li := range world {
-		present[li] = true
-	}
-	rank := 0
-	for _, li := range s.byScore {
-		if !present[li] {
-			continue
-		}
-		rank++
-		counts[int(s.leafKey[li])*k+rank-1]++
-		if rank == k {
-			break
-		}
-	}
-	for _, li := range world {
-		present[li] = false
-	}
-}
-
 // SizeDist estimates the world-size distribution Pr(|pw| = i), returning a
 // vector indexed by size (length numLeaves+1) and the realized accuracy.
 func SizeDist(ctx context.Context, t *andxor.Tree, b Budget, o Options) ([]float64, Info, error) {
@@ -195,14 +161,9 @@ func SizeDist(ctx context.Context, t *andxor.Tree, b Budget, o Options) ([]float
 		return nil, Info{}, err
 	}
 	b, o = b.Normalized(), o.normalized()
-	s := newSampler(t)
-	width := s.numLeaves() + 1
-	deltaCoord := b.Delta / float64(width)
-	total, err := hoeffdingSamples(b.Epsilon, deltaCoord, o.MaxSamples)
-	if err != nil {
-		return nil, Info{}, err
-	}
-	counts, err := countWorlds(ctx, s, total, width, o, func() func(counts []int64, world []int32) {
+	s := andxor.NewSampler(t)
+	width := s.NumLeaves() + 1
+	counts, info, err := countWorlds(ctx, s, width, width, b, o, func() func(counts []int64, world []int32) {
 		return func(counts []int64, world []int32) {
 			counts[len(world)]++
 		}
@@ -212,9 +173,9 @@ func SizeDist(ctx context.Context, t *andxor.Tree, b Budget, o Options) ([]float
 	}
 	out := make([]float64, width)
 	for i, c := range counts {
-		out[i] = float64(c) / float64(total)
+		out[i] = float64(c) / float64(info.Samples)
 	}
-	return out, Info{Radius: hoeffdingRadius(total, deltaCoord), Samples: total}, nil
+	return out, info, nil
 }
 
 // Marginals estimates every key's marginal presence probability.
@@ -223,20 +184,17 @@ func Marginals(ctx context.Context, t *andxor.Tree, b Budget, o Options) (map[st
 		return nil, Info{}, err
 	}
 	b, o = b.Normalized(), o.normalized()
-	s := newSampler(t)
-	width := len(s.keys)
+	s := andxor.NewSampler(t)
+	keys := s.Keys()
+	width := len(keys)
 	if width == 0 {
 		return map[string]float64{}, Info{}, nil
 	}
-	deltaCoord := b.Delta / float64(width)
-	total, err := hoeffdingSamples(b.Epsilon, deltaCoord, o.MaxSamples)
-	if err != nil {
-		return nil, Info{}, err
-	}
-	counts, err := countWorlds(ctx, s, total, width, o, func() func(counts []int64, world []int32) {
+	counts, info, err := countWorlds(ctx, s, width, width, b, o, func() func(counts []int64, world []int32) {
+		leafKey := s.LeafKeys()
 		return func(counts []int64, world []int32) {
 			for _, li := range world {
-				counts[s.leafKey[li]]++ // at most one alternative per key is present
+				counts[leafKey[li]]++ // at most one alternative per key is present
 			}
 		}
 	})
@@ -244,8 +202,8 @@ func Marginals(ctx context.Context, t *andxor.Tree, b Budget, o Options) (map[st
 		return nil, Info{}, err
 	}
 	out := make(map[string]float64, width)
-	for ki, key := range s.keys {
-		out[key] = float64(counts[ki]) / float64(total)
+	for ki, key := range keys {
+		out[key] = float64(counts[ki]) / float64(info.Samples)
 	}
-	return out, Info{Radius: hoeffdingRadius(total, deltaCoord), Samples: total}, nil
+	return out, info, nil
 }

@@ -5,21 +5,22 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
-	"sync"
 
 	"consensus/internal/andxor"
 	"consensus/internal/topk"
 )
 
-// adaptiveMean estimates the mean of a [0,1]-valued observable with
-// round-synchronized sharding: every round each shard draws the same batch
-// of observations, partial sums merge in shard order (deterministic for a
-// fixed seed and worker count), and the loop stops as soon as the
-// empirical-Bernstein radius at the round's share of delta reaches eps —
-// or at the Hoeffding worst-case count, whichever comes first.  Low
-// variance therefore stops early while the guarantee never degrades.
-func adaptiveMean(ctx context.Context, b Budget, o Options,
-	newObserver func(shard int) func(rng *rand.Rand) float64) (Estimate, error) {
+// adaptiveMean estimates the mean of a [0,1]-valued observable.  Round r
+// draws 256*2^(r-1) observations (trimmed at the end to land on the
+// Hoeffding worst-case count) split over the Streams RNG streams, whose
+// partial moments merge in stream order; after each round the loop stops
+// as soon as the empirical-Bernstein radius at the round's share of delta
+// reaches eps.  The checkpoints are fixed totals, so the answer and the
+// sample count depend only on the seed.  Low variance therefore stops
+// early while the guarantee never degrades.  newObserver is called once
+// per worker, so observers may carry scratch state.
+func adaptiveMean(ctx context.Context, s *andxor.Sampler, b Budget, o Options,
+	newObserver func() func(world []int32) float64) (Estimate, error) {
 	// Half the delta funds the worst-case Hoeffding cap, the other half is
 	// spread over the adaptive checkpoints (delta/2 * 1/(r(r+1)) at round
 	// r sums to delta/2).
@@ -27,81 +28,36 @@ func adaptiveMean(ctx context.Context, b Budget, o Options,
 	if err != nil {
 		return Estimate{}, err
 	}
-	type shardState struct {
-		rng *rand.Rand
-		obs func(rng *rand.Rand) float64
+	var rngs [Streams]*rand.Rand
+	for si := range rngs {
+		rngs[si] = streamRNG(o.Seed, si)
 	}
-	shards := make([]shardState, o.Workers)
-	for i := range shards {
-		shards[i] = shardState{rng: shardRNG(o.Seed, i), obs: newObserver(i)}
+	observers := make([]func(world []int32) float64, o.Workers)
+	for w := range observers {
+		observers[w] = newObserver()
 	}
-	var (
-		sum, sumSq float64
-		total      int
-		batch      = 256
-	)
-	for round := 1; ; round++ {
-		if batch*len(shards) > nCap-total {
-			batch = (nCap - total + len(shards) - 1) / len(shards)
+	var m Moments
+	for round, batch := 1, 256; ; round, batch = round+1, batch*2 {
+		sizes := split(min(batch, nCap-m.N))
+		var parts [Streams]Moments
+		err := forStreams(o.Workers, func(w, si int) error {
+			return s.Draw(ctx, sizes[si], rngs[si], func(world []int32) { parts[si].Add(observers[w](world)) })
+		})
+		if err != nil {
+			return Estimate{}, err
 		}
-		sums := make([]float64, len(shards))
-		sqs := make([]float64, len(shards))
-		ns := make([]int, len(shards))
-		errs := make([]error, len(shards))
-		var wg sync.WaitGroup
-		for si := range shards {
-			wg.Add(1)
-			go func(si int) {
-				defer wg.Done()
-				st := shards[si]
-				n := batch
-				if total+batch*len(shards) > nCap {
-					// Last round: trim so the total lands exactly on nCap.
-					if extra := total + batch*len(shards) - nCap; si < extra {
-						n = batch - 1
-					}
-				}
-				for i := 0; i < n; i++ {
-					if err := checkCtx(ctx, i); err != nil {
-						errs[si] = err
-						return
-					}
-					v := st.obs(st.rng)
-					sums[si] += v
-					sqs[si] += v * v
-				}
-				ns[si] = n
-			}(si)
-		}
-		wg.Wait()
-		for _, err := range errs {
-			if err != nil {
-				return Estimate{}, fmt.Errorf("approx: sampling interrupted: %w", err)
-			}
-		}
-		for si := range shards { // merge in shard order: deterministic
-			sum += sums[si]
-			sumSq += sqs[si]
-			total += ns[si]
-		}
-		mean := sum / float64(total)
-		variance := 0.0
-		if total > 1 {
-			variance = (sumSq - sum*mean) / float64(total-1)
-			if variance < 0 {
-				variance = 0
-			}
+		for _, p := range parts { // merge in stream order: deterministic
+			m.Merge(p)
 		}
 		deltaRound := b.Delta / 2 / float64(round*(round+1))
-		radius := bernsteinRadius(total, variance, deltaRound)
+		radius := bernsteinRadius(m.N, m.Variance(), deltaRound)
 		if radius <= b.Epsilon {
-			return Estimate{Value: mean, Radius: radius, Samples: total}, nil
+			return Estimate{Value: m.Mean(), Radius: radius, Samples: m.N}, nil
 		}
-		if total >= nCap {
-			hr := hoeffdingRadius(total, b.Delta/2)
-			return Estimate{Value: mean, Radius: math.Min(radius, hr), Samples: total}, nil
+		if m.N >= nCap {
+			hr := HoeffdingRadius(m.N, 0, 1, b.Delta/2)
+			return Estimate{Value: m.Mean(), Radius: math.Min(radius, hr), Samples: m.N}, nil
 		}
-		batch *= 2
 	}
 }
 
@@ -147,15 +103,19 @@ func ExpectedTopKDistance(ctx context.Context, t *andxor.Tree, tau topk.List, k 
 		return Estimate{}, err
 	}
 	b, o = b.Normalized(), o.normalized()
-	s := newSampler(t)
-	return adaptiveMean(ctx, b, o, func(int) func(rng *rand.Rand) float64 {
-		present := make([]bool, s.numLeaves())
-		var buf []int32
-		var out []string
-		return func(rng *rand.Rand) float64 {
-			buf = s.sampleInto(rng, buf[:0])
-			out = s.topKInto(buf, k, present, out)
-			return dist(tau, topk.List(out))
+	s := andxor.NewSampler(t)
+	keys := s.Keys()
+	return adaptiveMean(ctx, s, b, o, func() func(world []int32) float64 {
+		present := make([]bool, s.NumLeaves())
+		var ranked []int32
+		var out topk.List
+		return func(world []int32) float64 {
+			ranked = s.RankedKeys(world, k, present, ranked[:0])
+			out = out[:0]
+			for _, ki := range ranked {
+				out = append(out, keys[ki])
+			}
+			return dist(tau, out)
 		}
 	})
 }

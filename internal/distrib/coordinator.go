@@ -581,12 +581,14 @@ func (c *Coordinator) Trees() []string {
 	return out
 }
 
-// Stats aggregates the cluster: Trees counts registered shards, the
-// cache counters sum over reachable workers (best-effort, bounded by the
-// attempt timeout each).
+// Stats aggregates the cluster: Trees counts registered shards, and the
+// cache counters sum over the workers that answer a parallel fan-out to
+// every alive member (each bounded by the attempt timeout).
+// WorkersReporting and WorkersTotal (all members, alive or not) say how
+// partial that sum is.
 func (c *Coordinator) Stats() engine.Stats {
 	c.mu.RLock()
-	trees := len(c.shards)
+	trees, total := len(c.shards), len(c.members)
 	addrs := make([]string, 0, len(c.members))
 	for addr, m := range c.members {
 		if m.alive.Load() {
@@ -594,18 +596,27 @@ func (c *Coordinator) Stats() engine.Stats {
 		}
 	}
 	c.mu.RUnlock()
-	s := engine.Stats{Trees: trees}
+	reporting := 0
+	s := engine.Stats{Trees: trees, WorkersReporting: &reporting, WorkersTotal: &total}
+	var mu sync.Mutex
+	var wg sync.WaitGroup
 	for _, addr := range addrs {
-		actx, cancel := c.attemptCtx(context.Background())
-		ws, err := c.wc.stats(actx, addr)
-		cancel()
-		if err != nil {
-			continue
-		}
-		s.CacheEntries += ws.CacheEntries
-		s.Computes += ws.Computes
-		s.Hits += ws.Hits
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			actx, cancel := c.attemptCtx(context.Background())
+			defer cancel()
+			if ws, err := c.wc.stats(actx, addr); err == nil {
+				mu.Lock()
+				defer mu.Unlock()
+				reporting++
+				s.CacheEntries += ws.CacheEntries
+				s.Computes += ws.Computes
+				s.Hits += ws.Hits
+			}
+		}()
 	}
+	wg.Wait()
 	return s
 }
 

@@ -309,3 +309,43 @@ func TestCoordinatorStats(t *testing.T) {
 		t.Errorf("Stats.Computes = 0, want the workers' compute counters summed")
 	}
 }
+
+// TestCoordinatorStatsPartialFailure pins the partial-failure marker:
+// with one of three workers unreachable the counters cover two workers
+// and say so, and with none reachable the body still reports 0 rather
+// than omitting the field.  A single-process body carries no marker.
+func TestCoordinatorStatsPartialFailure(t *testing.T) {
+	workers := startWorkers(t, 3)
+	coord := newTestCoordinator(t, workers, Options{})
+	if err := coord.Register("db", workload.Independent(rand.New(rand.NewSource(12)), 5)); err != nil {
+		t.Fatal(err)
+	}
+	if resp := coord.Query(engine.Request{Tree: "db", Op: engine.OpRankDist, K: 2}); !resp.Ok() {
+		t.Fatal(resp.Error)
+	}
+	full := coord.Stats()
+	workers[2].Close()
+	partial := coord.Stats()
+	if *partial.WorkersReporting != 2 || *partial.WorkersTotal != 3 {
+		t.Fatalf("one worker down: reporting %d of %d, want 2 of 3", *partial.WorkersReporting, *partial.WorkersTotal)
+	}
+	if *full.WorkersReporting != 3 || partial.Computes > full.Computes {
+		t.Errorf("all up: reporting %d, computes %d; one down: computes %d", *full.WorkersReporting, full.Computes, partial.Computes)
+	}
+	workers[0].Close()
+	workers[1].Close()
+	body, err := json.Marshal(coord.Stats())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Contains(body, []byte(`"workers_reporting":0,"workers_total":3`)) {
+		t.Errorf("no worker reachable: body %s, want workers_reporting 0 of 3", body)
+	}
+	single, err := json.Marshal(engine.New(engine.Options{}).Stats())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := `{"trees":0,"cache_entries":0,"computes":0,"hits":0}`; string(single) != want {
+		t.Errorf("single-process stats body %s, want %s", single, want)
+	}
+}

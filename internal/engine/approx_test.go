@@ -2,6 +2,7 @@ package engine
 
 import (
 	"context"
+	"encoding/json"
 	"math"
 	"math/rand"
 	"strings"
@@ -258,6 +259,40 @@ func TestValidateBudgetFields(t *testing.T) {
 	} {
 		if resp := e.Query(req); resp.Ok() {
 			t.Errorf("request %+v must be rejected", req)
+		}
+	}
+}
+
+// TestApproxAnswersIndependentOfRankWorkers pins seed-only determinism:
+// the sampling backend's answer must not depend on how many goroutines
+// run it, or a cluster of workers with different core counts would
+// disagree with a single process.
+func TestApproxAnswersIndependentOfRankWorkers(t *testing.T) {
+	reqs := []Request{
+		{Tree: "db", Op: OpRankDist, K: 4},
+		{Tree: "db", Op: OpTopKMean, K: 4},
+		{Tree: "db", Op: OpSizeDist},
+		{Tree: "db", Op: OpMembership},
+	}
+	var bodies [2][]string
+	for i, workers := range []int{1, 4} {
+		e := approxTestEngine(t, Options{RankWorkers: workers})
+		for _, req := range reqs {
+			req.Mode, req.Epsilon, req.Delta, req.Seed = ModeApprox, 0.05, 0.01, 9
+			resp := e.Query(req)
+			if !resp.Ok() {
+				t.Fatalf("%s with RankWorkers %d: %s", req.Op, workers, resp.Error)
+			}
+			body, err := json.Marshal(resp)
+			if err != nil {
+				t.Fatal(err)
+			}
+			bodies[i] = append(bodies[i], string(body))
+		}
+	}
+	for j, req := range reqs {
+		if bodies[0][j] != bodies[1][j] {
+			t.Errorf("%s: RankWorkers 1 and 4 answer differently:\n%s\n%s", req.Op, bodies[0][j], bodies[1][j])
 		}
 	}
 }

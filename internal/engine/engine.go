@@ -51,7 +51,7 @@ type Options struct {
 	CacheEntries int
 	// RankWorkers is the per-query parallelism of rank-distribution
 	// computations (genfunc.RanksParallel) and of Monte-Carlo sampling
-	// shards; <= 0 selects GOMAXPROCS.
+	// (it never changes a sampled answer); <= 0 selects GOMAXPROCS.
 	RankWorkers int
 
 	// DefaultMode is applied to requests that leave Request.Mode empty:
@@ -168,6 +168,12 @@ type Stats struct {
 	Computes int64 `json:"computes"`
 	// Hits counts lookups served by a resident or in-flight entry.
 	Hits int64 `json:"hits"`
+	// WorkersReporting and WorkersTotal are set only by a cluster
+	// coordinator: how many member workers answered its stats fan-out,
+	// out of how many.  Fewer reporting than total marks the cache
+	// counters as a partial sum.
+	WorkersReporting *int `json:"workers_reporting,omitempty"`
+	WorkersTotal     *int `json:"workers_total,omitempty"`
 }
 
 // New builds an engine with the given options.

@@ -382,30 +382,40 @@ func (e *Engine) worldRankings(te *treeEntry, name string) (*rankedWorlds, error
 // permutation of key indices, rankings[pos] = key index.
 func worldRanking(t *andxor.Tree, w *types.World) []int {
 	keys := t.Keys()
-	type present struct {
-		idx   int
-		score float64
-	}
-	var in []present
-	var out []int
-	for i, key := range keys {
-		if l, ok := w.Lookup(key); ok {
-			in = append(in, present{idx: i, score: l.Score})
-		} else {
-			out = append(out, i)
-		}
-	}
-	sort.Slice(in, func(a, b int) bool {
-		if in[a].score != in[b].score {
-			return in[a].score > in[b].score
-		}
-		return in[a].idx < in[b].idx
-	})
 	ranking := make([]int, 0, len(keys))
-	for _, p := range in {
-		ranking = append(ranking, p.idx)
+	for _, l := range w.ByScoreDesc() { // ties by key: key index order
+		ranking = append(ranking, sort.SearchStrings(keys, l.Key))
 	}
-	return append(ranking, out...)
+	for i, key := range keys {
+		if !w.HasKey(key) {
+			ranking = append(ranking, i)
+		}
+	}
+	return ranking
+}
+
+// worldRanker returns a function that appends worldRanking's permutation
+// of a world drawn by s to out, built straight from the drawn leaf
+// indices: present keys in the sampler's score order (ties by key, as
+// worldRanking breaks them), then absent keys in key order.  No per-draw
+// World is built.
+func worldRanker(s *andxor.Sampler) func(world []int32, out []int) []int {
+	var ranked []int32
+	present, in := make([]bool, s.NumLeaves()), make([]bool, len(s.Keys()))
+	return func(world []int32, out []int) []int {
+		ranked = s.RankedKeys(world, len(world), present, ranked[:0])
+		for _, ki := range ranked {
+			out = append(out, int(ki))
+			in[ki] = true
+		}
+		for ki := range in {
+			if !in[ki] {
+				out = append(out, ki)
+			}
+			in[ki] = false
+		}
+		return out
+	}
 }
 
 // aggregateRankings runs the chosen aggregation rule over a weighted
@@ -510,15 +520,18 @@ func sampleRankingConsensus(ctx context.Context, t *andxor.Tree, method string, 
 		return nil, fmt.Errorf("engine: sampled consensus ranking over %d tuples at this budget needs ~%.0g aggregation steps (limit %d); loosen epsilon/delta, use method borda, or query a smaller tree", m, work, maxRankingWork)
 	}
 	rng := rand.New(rand.NewSource(plan.seed))
-	rankings := make([][]int, n)
+	s := andxor.NewSampler(t)
+	rank := worldRanker(s)
+	rankings := make([][]int, 0, n)
+	err = s.Draw(ctx, n, rng, func(world []int32) {
+		rankings = append(rankings, rank(world, make([]int, 0, m)))
+	})
+	if err != nil {
+		return nil, err
+	}
 	weights := make([]float64, n)
-	w := 1 / float64(n)
-	for i := 0; i < n; i++ {
-		if i%1024 == 0 && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		rankings[i] = worldRanking(t, t.Sample(rng))
-		weights[i] = w
+	for i := range weights {
+		weights[i] = 1 / float64(n)
 	}
 	ranking, _, err := aggregateRankings(keys, method, rankings, weights)
 	if err != nil {
@@ -527,23 +540,21 @@ func sampleRankingConsensus(ctx context.Context, t *andxor.Tree, method string, 
 	// Held-out objective estimate: fresh draws from the continuing RNG
 	// stream are independent of the selection sample above.
 	perm := make([]int, m)
-	idx := make(map[string]int, m)
-	for i, key := range keys {
-		idx[key] = i
-	}
 	for pos, key := range ranking {
-		perm[pos] = idx[key]
+		perm[pos] = sort.SearchStrings(keys, key) // keys are sorted
 	}
 	dist, max := rankagg.Footrule, maxFootrule(m)
 	if method == MethodKemeny {
 		dist, max = rankagg.KendallTau, maxKendall(m)
 	}
 	sum := 0.0
-	for i := 0; i < n; i++ {
-		if i%1024 == 0 && ctx.Err() != nil {
-			return nil, ctx.Err()
-		}
-		sum += normalizeByMax(float64(dist(perm, worldRanking(t, t.Sample(rng)))), max)
+	drawn := make([]int, 0, m)
+	err = s.Draw(ctx, n, rng, func(world []int32) {
+		drawn = rank(world, drawn[:0])
+		sum += normalizeByMax(float64(dist(perm, drawn)), max)
+	})
+	if err != nil {
+		return nil, err
 	}
 	// Samples reports the n held-out draws the radius and Expected are
 	// computed from (the phase-one selection draws back the ranking, not

@@ -338,6 +338,37 @@ func TestRankingConsensusSampled(t *testing.T) {
 	}
 }
 
+// TestWorldRankerMatchesWorldRanking pins the sampled ranking-consensus
+// draws to the enumeration path's worldRanking: from equal seeds, the
+// ranking built from a Sampler's leaf indices must equal worldRanking of
+// the world Tree.Sample draws, including under cross-key score ties.
+func TestWorldRankerMatchesWorldRanking(t *testing.T) {
+	var blocks []andxor.Block
+	for i := 0; i < 7; i++ {
+		blocks = append(blocks, andxor.Block{
+			Alternatives: []types.Leaf{{Key: fmt.Sprintf("t%d", i), Score: float64(i % 3)}, {Key: fmt.Sprintf("t%d", i), Score: float64(3 + i%2)}},
+			Probs:        []float64{0.4, 0.35},
+		})
+	}
+	tied, err := andxor.BID(blocks)
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(21))
+	for ti, tr := range []*andxor.Tree{tied, workload.Nested(rng, 9, 3), workload.BID(rng, 12, 2)} {
+		s := andxor.NewSampler(tr)
+		rank := worldRanker(s)
+		rngA := rand.New(rand.NewSource(int64(ti)))
+		rngB := rand.New(rand.NewSource(int64(ti)))
+		for d := 0; d < 200; d++ {
+			got := rank(s.SampleInto(rngA, nil), nil)
+			if want := worldRanking(tr, tr.Sample(rngB)); !reflect.DeepEqual(got, want) {
+				t.Fatalf("tree %d draw %d: worldRanker %v, worldRanking %v", ti, d, got, want)
+			}
+		}
+	}
+}
+
 func TestRankingConsensusAutoPicksBackendBySize(t *testing.T) {
 	e := New(Options{})
 	small := workload.BID(rand.New(rand.NewSource(12)), 5, 2)

@@ -1,6 +1,7 @@
 package topk
 
 import (
+	"context"
 	"fmt"
 	"math/rand"
 	"sort"
@@ -57,6 +58,9 @@ func GlobalTopK(t *andxor.Tree, k int) (List, error) {
 // implementation enumerates the world distribution, so it is exponential
 // in general; pass limit 0 for the enumeration default.
 func UTopK(t *andxor.Tree, k int, limit int) (List, float64, error) {
+	if k < 0 {
+		return nil, 0, fmt.Errorf("topk: k = %d must be non-negative", k)
+	}
 	ws, err := exact.Enumerate(t, limit)
 	if err != nil {
 		return nil, 0, err
@@ -69,36 +73,49 @@ func UTopK(t *andxor.Tree, k int, limit int) (List, float64, error) {
 		probs[key] += ww.Prob
 		rep[key] = tau
 	}
-	bestKey, bestP := "", -1.0
-	for key, p := range probs {
-		if p > bestP || (p == bestP && key < bestKey) {
-			bestKey, bestP = key, p
+	tau, p := heaviest(probs, rep)
+	return tau, p, nil
+}
+
+// heaviest returns the list with the largest weight and that weight, ties
+// broken by the smaller fingerprint.
+func heaviest(weights map[string]float64, rep map[string]List) (List, float64) {
+	bestKey, bestW := "", -1.0
+	for key, w := range weights {
+		if w > bestW || (w == bestW && key < bestKey) {
+			bestKey, bestW = key, w
 		}
 	}
-	return rep[bestKey], bestP, nil
+	return rep[bestKey], bestW
 }
 
 // UTopKSampled estimates the U-top-k answer by sampling worlds; it trades
 // exactness for applicability to large trees.
 func UTopKSampled(t *andxor.Tree, k, samples int, rng *rand.Rand) (List, float64, error) {
+	if k < 0 {
+		return nil, 0, fmt.Errorf("topk: k = %d must be non-negative", k)
+	}
 	if samples <= 0 {
 		return nil, 0, fmt.Errorf("topk: samples must be positive")
 	}
-	counts := map[string]int{}
+	s := andxor.NewSampler(t)
+	keys := s.Keys()
+	present := make([]bool, s.NumLeaves())
+	var ranked []int32
+	counts := map[string]float64{} // exact integer counts
 	rep := map[string]List{}
-	for i := 0; i < samples; i++ {
-		tau := FromWorld(t.Sample(rng), k)
+	_ = s.Draw(context.Background(), samples, rng, func(world []int32) { // never cancelled
+		ranked = s.RankedKeys(world, k, present, ranked[:0])
+		tau := make(List, len(ranked))
+		for j, ki := range ranked {
+			tau[j] = keys[ki]
+		}
 		key := fingerprint(tau)
 		counts[key]++
 		rep[key] = tau
-	}
-	bestKey, bestC := "", -1
-	for key, c := range counts {
-		if c > bestC || (c == bestC && key < bestKey) {
-			bestKey, bestC = key, c
-		}
-	}
-	return rep[bestKey], float64(bestC) / float64(samples), nil
+	})
+	tau, c := heaviest(counts, rep)
+	return tau, c / float64(samples), nil
 }
 
 // ExpectedRankTopK ranks tuples by Cormode et al.'s expected rank

@@ -79,6 +79,12 @@ func TestUTopKExactAndSampledAgree(t *testing.T) {
 	if _, _, err := UTopKSampled(tr, 2, 0, rand.New(rand.NewSource(5))); err == nil {
 		t.Fatal("samples=0 must error")
 	}
+	if _, _, err := UTopK(tr, -1, 0); err == nil {
+		t.Fatal("UTopK with k=-1 must error")
+	}
+	if _, _, err := UTopKSampled(tr, -1, 100, rand.New(rand.NewSource(5))); err == nil {
+		t.Fatal("UTopKSampled with k=-1 must error")
+	}
 }
 
 func TestExpectedRankTopKOrdering(t *testing.T) {

@@ -64,6 +64,11 @@ func NewWorld(leaves ...Leaf) (*World, error) {
 	return w, nil
 }
 
+// NewWorldCap returns an empty world presized for n alternatives.
+func NewWorldCap(n int) *World {
+	return &World{byKey: make(map[string]Leaf, n)}
+}
+
 // MustWorld is NewWorld that panics on key conflicts; intended for tests and
 // package-internal construction from already-validated data.
 func MustWorld(leaves ...Leaf) *World {
@@ -243,8 +248,11 @@ func Jaccard(a, b *World) float64 {
 // TopK returns the keys of the k highest-score alternatives present in the
 // world, ordered by decreasing score.  If fewer than k tuples are present,
 // all of them are returned (a shorter list), matching the convention that
-// absent tuples have rank infinity.
+// absent tuples have rank infinity.  k <= 0 yields an empty answer.
 func (w *World) TopK(k int) []string {
+	if k <= 0 {
+		return []string{}
+	}
 	ls := w.ByScoreDesc()
 	if len(ls) > k {
 		ls = ls[:k]

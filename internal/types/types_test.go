@@ -105,6 +105,11 @@ func TestTopK(t *testing.T) {
 	if got := w.TopK(10); len(got) != 3 {
 		t.Fatalf("TopK(10) = %v, want all 3", got)
 	}
+	for _, k := range []int{0, -1} {
+		if got := w.TopK(k); got == nil || len(got) != 0 {
+			t.Fatalf("TopK(%d) = %#v, want an empty answer", k, got)
+		}
+	}
 }
 
 func TestGroupCounts(t *testing.T) {
